@@ -38,7 +38,7 @@ from .data import (
     write_dataset,
     write_letor,
 )
-from .diversity import EmbeddingSet, diversity, exhaustive_prune, greedy_prune
+from .diversity import diversity, exhaustive_prune, greedy_prune
 from .evaluate import (
     DiversityStats,
     EvalReport,
@@ -91,7 +91,6 @@ __all__ = [
     "write_letor",
     "ranking_from_relevance",
     "pairwise_from_utilities",
-    "EmbeddingSet",
     "diversity",
     "greedy_prune",
     "exhaustive_prune",

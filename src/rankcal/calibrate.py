@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .core import LabeledQuery, PairwiseScores, PredictionSet, item_scores, threshold_set
+from .core import _checked_embeddings
 from .diversity import greedy_prune
 from .risk import MRule, derive_m, fdp, get_bound
 
@@ -211,9 +212,9 @@ def predict(
 
     Accepts a full :class:`LabeledQuery` (embeddings taken from it) or a bare
     :class:`PairwiseScores` for unlabeled test points, with ``embeddings``
-    passed separately when the diverse family is in use. The guarantee only
-    transfers when ``lambda_hat`` came from a calibration run with this exact
-    family and cap.
+    passed separately when the diverse family is in use; bare-score
+    embeddings must have one row per item. The guarantee only transfers when
+    ``lambda_hat`` came from a calibration run with this exact family and cap.
     """
     if isinstance(query, LabeledQuery):
         scores = query.scores
@@ -221,6 +222,8 @@ def predict(
             embeddings = query.embeddings
     else:
         scores = query
+        if embeddings is not None:
+            embeddings = _checked_embeddings(embeddings, scores.k)
     base = threshold_set(item_scores(scores), lambda_hat)
     if config.family == "plain":
         return base

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -30,6 +29,8 @@ from .data import (
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
+    read_embeddings,
+    read_scores,
     write_dataset,
     write_predictions_csv,
     write_report_json,
@@ -38,7 +39,7 @@ from .data import (
     write_trials_csv,
 )
 from .evaluate import TrialProtocol, run_trials, sweep
-from .risk import MRule, derive_m, fdp
+from .risk import MRule, derive_m, fdp, hoeffding_ucb
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -82,7 +83,6 @@ def _add_config_flags(p: argparse.ArgumentParser):
                        help="acceptable items as a fraction of K (default 0.2)")
     group.add_argument("--m-abs", type=int, default=None,
                        help="acceptable items as an absolute count, clamped to K")
-    p.add_argument("--bound", default="hoeffding", help="upper-confidence bound name")
     p.add_argument("--diverse", action="store_true",
                    help="calibrate the diversity-pruned, size-capped family")
     p.add_argument("--max-items", type=int, default=None,
@@ -108,7 +108,6 @@ def _config_from_args(args) -> CalibrationConfig:
         delta=args.delta,
         d_lambda=args.dlambda,
         m_rule=m_rule,
-        bound=args.bound,
         family="diverse" if args.diverse else "plain",
         max_items=args.max_items if args.diverse else None,
     )
@@ -147,7 +146,7 @@ def _write_manifest(out_dir: Path, name: str, manifest: dict) -> str:
 
 
 def _warn_if_hopeless(config: CalibrationConfig, n: int, strict: bool):
-    slack = math.sqrt(math.log(1.0 / config.delta) / (2.0 * n))
+    slack = hoeffding_ucb(0.0, n, config.delta)
     if slack >= config.alpha:
         msg = (
             f"warning: with n={n} the Hoeffding slack {slack:.4f} >= alpha={config.alpha}; "
@@ -167,8 +166,7 @@ def _cmd_calibrate(args) -> int:
     data = load_dataset(args.scores, args.rankings, args.embeddings)
     if not data:
         raise _UsageError("dataset is empty")
-    if config.bound == "hoeffding":
-        _warn_if_hopeless(config, len(data), args.strict_guarantee)
+    _warn_if_hopeless(config, len(data), args.strict_guarantee)
     result = calibrate(data, config)
 
     out_dir = _out_dir(args)
@@ -205,29 +203,21 @@ def _cmd_predict(args) -> int:
         raise _UsageError(f"lambda must be in [0, 1], got {lam}")
     config = _config_from_args(args)
 
+    rows = []
     if args.rankings:
-        data = load_dataset(args.scores, args.rankings, args.embeddings)
+        for q in load_dataset(args.scores, args.rankings, args.embeddings):
+            pred = predict(q, lam, config)
+            loss = fdp(pred, q.ranking, derive_m(q.k, config.m_rule))
+            rows.append((q.query_id, pred, repr(loss)))
     else:
-        from .data import read_embeddings, read_scores
-        from .core import LabeledQuery, Ranking
-        import numpy as np
-
+        # No labels: predict on the bare scores; FDP is not reported.
         score_pairs = read_scores(args.scores)
         emb = dict(read_embeddings(args.embeddings)) if args.embeddings else {}
-        data = []
         for qid, scores in score_pairs:
-            # No labels: fabricate the identity ranking purely to satisfy the
-            # container; FDP is not reported in this mode.
-            ranking = Ranking(np.arange(1, scores.k + 1))
-            data.append(LabeledQuery(qid, scores, ranking, embeddings=emb.get(qid)))
-
-    rows = []
-    for q in data:
-        pred = predict(q, lam, config)
-        loss = None
-        if args.rankings:
-            loss = repr(fdp(pred, q.ranking, derive_m(q.k, config.m_rule)))
-        rows.append((q.query_id, pred, loss))
+            try:
+                rows.append((qid, predict(scores, lam, config, embeddings=emb.get(qid)), None))
+            except ValueError as exc:
+                raise _UsageError(f"query {qid!r}: {exc}") from None
 
     if args.out:
         out_dir = _out_dir(args)
@@ -243,22 +233,23 @@ def _cmd_predict(args) -> int:
     return EXIT_OK
 
 
-def _protocol_from_args(args, config: CalibrationConfig) -> TrialProtocol:
+def _protocol_from_args(
+    args, config: CalibrationConfig, single_size_sample: bool = False
+) -> TrialProtocol:
     return TrialProtocol(
         n_cal=args.ncal,
         config=config,
         trials=args.trials,
         seed=args.seed,
-        single_size_sample=args.single_size_sample,
+        single_size_sample=single_size_sample,
     )
 
 
 def _cmd_evaluate(args) -> int:
     config = _config_from_args(args)
     data = load_dataset(args.scores, args.rankings, args.embeddings)
-    protocol = _protocol_from_args(args, config)
-    if config.bound == "hoeffding":
-        _warn_if_hopeless(config, protocol.n_cal, args.strict_guarantee)
+    protocol = _protocol_from_args(args, config, args.single_size_sample)
+    _warn_if_hopeless(config, protocol.n_cal, args.strict_guarantee)
     report = run_trials(data, protocol, n_jobs=args.jobs)
 
     out_dir = _out_dir(args)
@@ -383,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--ncal", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--single-size-sample", action="store_true")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
     p.set_defaults(func=_cmd_sweep)

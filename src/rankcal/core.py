@@ -48,7 +48,8 @@ class PairwiseScores:
             bad = np.argwhere(off & ~((probs >= 0.0) & (probs <= 1.0)))
             i, j = bad[0]
             raise ValueError(
-                f"off-diagonal entry probs[{i}][{j}]={probs[i, j]!r} outside [0, 1]"
+                f"off-diagonal entry probs[{i}][{j}]={probs[i, j]!r} "
+                f"(row {i + 1}, column {j + 1}) outside [0, 1]"
             )
         if self.check_complementary:
             resid = np.abs(probs + probs.T - 1.0)[off]
@@ -114,6 +115,26 @@ class Ranking:
         return bool(np.array_equal(self.ranks, other.ranks))
 
 
+def _checked_embeddings(embeddings, k: Optional[int] = None) -> np.ndarray:
+    """Validate item embeddings and return them as a read-only float copy.
+
+    The matrix must be (K, d) with K, d >= 1 and finite entries; ``k``, when
+    given, is the required row count. Every consumer of embeddings -- queries,
+    parsers, the diversity functions and ``predict`` -- checks through here.
+    """
+    emb = np.array(embeddings, dtype=float)
+    if emb.ndim != 2 or min(emb.shape) < 1 or (k is not None and emb.shape[0] != k):
+        rows = "K" if k is None else k
+        raise ValueError(f"embeddings must be a nonempty ({rows}, d) matrix, got {emb.shape}")
+    if not np.all(np.isfinite(emb)):
+        i, j = np.argwhere(~np.isfinite(emb))[0]
+        raise ValueError(
+            f"embeddings contain non-finite values: row {i + 1}, column {j + 1} is not finite"
+        )
+    emb.setflags(write=False)
+    return emb
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledQuery:
     """One query's model scores and ground truth, plus optional side data.
@@ -137,16 +158,10 @@ class LabeledQuery:
                 f"query {self.query_id!r}: ranking has {self.ranking.k} items, scores have {k}"
             )
         if self.embeddings is not None:
-            emb = np.array(self.embeddings, dtype=float)
-            if emb.ndim != 2 or emb.shape[0] != k:
-                raise ValueError(
-                    f"query {self.query_id!r}: embeddings must be ({k}, d), got {emb.shape}"
-                )
-            if emb.shape[1] < 1:
-                raise ValueError(f"query {self.query_id!r}: embedding dimension must be >= 1")
-            if not np.all(np.isfinite(emb)):
-                raise ValueError(f"query {self.query_id!r}: embeddings contain non-finite values")
-            emb.setflags(write=False)
+            try:
+                emb = _checked_embeddings(self.embeddings, k)
+            except ValueError as exc:
+                raise ValueError(f"query {self.query_id!r}: {exc}") from None
             object.__setattr__(self, "embeddings", emb)
         if self.relevance is not None:
             rel = np.array(self.relevance, dtype=int)

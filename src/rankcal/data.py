@@ -21,6 +21,7 @@ reproducible under tied labels).
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO, Union
@@ -28,7 +29,7 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 import numpy as np
 from scipy.special import expit
 
-from .core import LabeledQuery, PairwiseScores, PredictionSet, Ranking
+from .core import LabeledQuery, PairwiseScores, PredictionSet, Ranking, _checked_embeddings
 
 __all__ = [
     "ParseError",
@@ -275,10 +276,14 @@ def generate_synthetic(spec: SyntheticSpec) -> list[LabeledQuery]:
 # Headered block files
 
 
-def _open_for(target, mode: str):
+@contextmanager
+def _text_stream(target, mode: str):
+    """A path is opened (and closed on exit); an open stream is used as is."""
     if isinstance(target, (str, Path)):
-        return open(target, mode, encoding="utf-8"), True
-    return target, False
+        with open(target, mode, encoding="utf-8") as f:
+            yield f
+    else:
+        yield target
 
 
 class _BlockReader:
@@ -348,30 +353,19 @@ def _parse_float_row(qid: str, row, width: int) -> np.ndarray:
 
 
 def read_scores(source) -> list[tuple[str, PairwiseScores]]:
-    f, close = _open_for(source, "r")
-    try:
+    with _text_stream(source, "r") as f:
         out = []
         for qid, header, rows in _BlockReader(f).blocks(("k",)):
-            k = header["k"]
-            probs = np.vstack([_parse_float_row(qid, row, k) for row in rows])
-            off = ~np.eye(k, dtype=bool)
-            bad = off & ~((probs >= 0.0) & (probs <= 1.0))
-            if bad.any():
-                i, j = np.argwhere(bad)[0]
-                raise SchemaError(
-                    f"query {qid!r}: score at row {i + 1}, column {j + 1} is "
-                    f"{probs[i, j]!r}, outside [0, 1]"
-                )
-            out.append((qid, PairwiseScores(probs)))
+            probs = np.vstack([_parse_float_row(qid, row, header["k"]) for row in rows])
+            try:
+                out.append((qid, PairwiseScores(probs)))
+            except ValueError as exc:
+                raise SchemaError(f"query {qid!r}: {exc}") from None
         return out
-    finally:
-        if close:
-            f.close()
 
 
 def write_scores(target, pairs: Iterable[tuple[str, PairwiseScores]]) -> None:
-    f, close = _open_for(target, "w")
-    try:
+    with _text_stream(target, "w") as f:
         for qid, scores in pairs:
             k = scores.k
             f.write(f"query {qid} k {k}\n")
@@ -379,14 +373,10 @@ def write_scores(target, pairs: Iterable[tuple[str, PairwiseScores]]) -> None:
             np.fill_diagonal(probs, 0.0)
             for row in probs:
                 f.write(" ".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            f.close()
 
 
 def read_rankings(source) -> list[tuple[str, Ranking]]:
-    f, close = _open_for(source, "r")
-    try:
+    with _text_stream(source, "r") as f:
         out = []
         for qid, header, rows in _BlockReader(f).blocks(("k",), rows_per_block=lambda v: 1):
             k = header["k"]
@@ -404,52 +394,34 @@ def read_rankings(source) -> list[tuple[str, Ranking]]:
             except ValueError as exc:
                 raise SchemaError(f"query {qid!r}, line {no}: {exc}") from None
         return out
-    finally:
-        if close:
-            f.close()
 
 
 def write_rankings(target, pairs: Iterable[tuple[str, Ranking]]) -> None:
-    f, close = _open_for(target, "w")
-    try:
+    with _text_stream(target, "w") as f:
         for qid, ranking in pairs:
             f.write(f"query {qid} k {ranking.k}\n")
             f.write(" ".join(str(int(r)) for r in ranking.ranks) + "\n")
-    finally:
-        if close:
-            f.close()
 
 
 def read_embeddings(source) -> list[tuple[str, np.ndarray]]:
-    f, close = _open_for(source, "r")
-    try:
+    with _text_stream(source, "r") as f:
         out = []
         for qid, header, rows in _BlockReader(f).blocks(("k", "d")):
-            d = header["d"]
-            mat = np.vstack([_parse_float_row(qid, row, d) for row in rows])
-            if not np.all(np.isfinite(mat)):
-                i, j = np.argwhere(~np.isfinite(mat))[0]
-                raise SchemaError(
-                    f"query {qid!r}: embedding at row {i + 1}, column {j + 1} is not finite"
-                )
-            out.append((qid, mat))
+            mat = np.vstack([_parse_float_row(qid, row, header["d"]) for row in rows])
+            try:
+                out.append((qid, _checked_embeddings(mat)))
+            except ValueError as exc:
+                raise SchemaError(f"query {qid!r}: {exc}") from None
         return out
-    finally:
-        if close:
-            f.close()
 
 
 def write_embeddings(target, pairs: Iterable[tuple[str, np.ndarray]]) -> None:
-    f, close = _open_for(target, "w")
-    try:
+    with _text_stream(target, "w") as f:
         for qid, mat in pairs:
             mat = np.asarray(mat, dtype=float)
             f.write(f"query {qid} k {mat.shape[0]} d {mat.shape[1]}\n")
             for row in mat:
                 f.write(" ".join(repr(float(v)) for v in row) + "\n")
-    finally:
-        if close:
-            f.close()
 
 
 def assemble_queries(
@@ -517,16 +489,12 @@ def write_dataset(prefix: Union[str, Path], queries: Sequence[LabeledQuery]) -> 
 
 
 def _write_csv(target, header: Sequence[str], rows: Iterable[Sequence], manifest: Optional[str]):
-    f, close = _open_for(target, "w")
-    try:
+    with _text_stream(target, "w") as f:
         if manifest:
             f.write(f"# manifest={manifest}\n")
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join("" if v is None else str(v) for v in row) + "\n")
-    finally:
-        if close:
-            f.close()
 
 
 def write_predictions_csv(target, rows, manifest: Optional[str] = None) -> None:
@@ -574,10 +542,6 @@ def write_report_json(target, report, manifest: Optional[str] = None) -> None:
     payload = report.to_dict()
     if manifest:
         payload["manifest"] = manifest
-    f, close = _open_for(target, "w")
-    try:
+    with _text_stream(target, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
-    finally:
-        if close:
-            f.close()

@@ -9,54 +9,19 @@ measure could be swapped in without touching the calibration machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Union
 
 import numpy as np
 
-from .core import PredictionSet
+from .core import PredictionSet, _checked_embeddings
 
-__all__ = ["EmbeddingSet", "diversity", "greedy_prune", "exhaustive_prune"]
+__all__ = ["diversity", "greedy_prune", "exhaustive_prune"]
 
 _EXHAUSTIVE_GUARD = 20
 
 
-@dataclass(frozen=True, eq=False)
-class EmbeddingSet:
-    """K item embeddings of shared dimension, row per item."""
-
-    vectors: np.ndarray
-
-    def __post_init__(self):
-        vec = np.array(self.vectors, dtype=float)
-        if vec.ndim != 2 or vec.shape[0] < 1 or vec.shape[1] < 1:
-            raise ValueError(f"embeddings must be a (K, d) matrix with K, d >= 1, got {vec.shape}")
-        if not np.all(np.isfinite(vec)):
-            raise ValueError("embeddings contain non-finite values")
-        vec.setflags(write=False)
-        object.__setattr__(self, "vectors", vec)
-
-    @property
-    def k(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.vectors.shape[1]
-
-
-Embeddings = Union[EmbeddingSet, np.ndarray]
-
-
-def _as_matrix(embeddings: Embeddings) -> np.ndarray:
-    if isinstance(embeddings, EmbeddingSet):
-        return embeddings.vectors
-    return EmbeddingSet(np.asarray(embeddings)).vectors
-
-
-def _member_matrix(pred: PredictionSet, embeddings: Embeddings) -> np.ndarray:
-    mat = _as_matrix(embeddings)
+def _member_matrix(pred: PredictionSet, embeddings: np.ndarray) -> np.ndarray:
+    mat = _checked_embeddings(embeddings)
     idx = pred.as_array()
     if len(idx) and idx[-1] > mat.shape[0]:
         raise ValueError(f"item index {idx[-1]} exceeds embedding count {mat.shape[0]}")
@@ -68,7 +33,7 @@ def _distance_matrix(points: np.ndarray) -> np.ndarray:
     return np.sqrt((diff * diff).sum(axis=-1))
 
 
-def diversity(pred: PredictionSet, embeddings: Embeddings, m_cap: int) -> float:
+def diversity(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> float:
     """Sum of pairwise member distances over ``max(m_cap, |pred|)``.
 
     Empty and singleton sets have no pairs and score 0.
@@ -84,19 +49,12 @@ def diversity(pred: PredictionSet, embeddings: Embeddings, m_cap: int) -> float:
     return total / max(m_cap, n)
 
 
-def greedy_prune(
-    pred: PredictionSet,
-    embeddings: Embeddings,
-    m_cap: int,
-    keep_most_diverse: bool = True,
-) -> PredictionSet:
+def greedy_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> PredictionSet:
     """Shrink a set to at most ``m_cap`` items, one removal at a time.
 
     Each step drops the element whose removal leaves the most diverse
     remainder (the element contributing least); on ties the smallest item
-    index is dropped. ``keep_most_diverse=False`` inverts the selection --
-    dropping the element whose removal leaves the LEAST diverse remainder --
-    and exists only so the two directions can be compared in sweeps.
+    index is dropped.
 
     The remainder's diversity is evaluated incrementally from a cached
     distance matrix: dropping ``t`` removes exactly its distance row, so each
@@ -113,14 +71,14 @@ def greedy_prune(
         total = float(rowsums.sum()) / 2.0
         denom = max(m_cap, items.size - 1)
         remainder_div = (total - rowsums) / denom
-        t = int(np.argmax(remainder_div) if keep_most_diverse else np.argmin(remainder_div))
+        t = int(np.argmax(remainder_div))
         keep = np.arange(items.size) != t
         items = items[keep]
         dist = dist[np.ix_(keep, keep)]
     return PredictionSet(items.tolist())
 
 
-def exhaustive_prune(pred: PredictionSet, embeddings: Embeddings, m_cap: int) -> PredictionSet:
+def exhaustive_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> PredictionSet:
     """Exact argmax-diversity subset of size at most ``m_cap`` (test oracle).
 
     Because every subset within the cap is divided by the same ``m_cap``,

@@ -165,6 +165,37 @@ class SweepRow:
     fraction_modified: Optional[float]
 
 
+def _threshold_and_prune(
+    queries: Sequence[LabeledQuery], lam: float, m_cap: Optional[int]
+) -> tuple[list[PredictionSet], list[float], int, int]:
+    """Each query's set at ``lam`` and the diversity bookkeeping of its pruning.
+
+    ``m_cap=None`` is the plain family: sets are only thresholded. Otherwise
+    each set is greedily pruned to ``m_cap`` items, and every *modified* set
+    (its thresholded set exceeded the cap) adds its pruned-over-unpruned
+    diversity ratio, or is only counted when the unpruned diversity is zero.
+    Returns ``(sets, ratios, n_modified, n_zero_denominator)``.
+    """
+    sets = []
+    ratios: list[float] = []
+    n_modified = n_zero = 0
+    for q in queries:
+        final = base = threshold_set(item_scores(q.scores), lam)
+        if m_cap is not None:
+            if q.embeddings is None:
+                raise ValueError(f"query {q.query_id!r} has no embeddings")
+            final = greedy_prune(base, q.embeddings, m_cap)
+            if len(base) > m_cap:
+                n_modified += 1
+                before = diversity(base, q.embeddings, m_cap)
+                if before == 0.0:
+                    n_zero += 1
+                else:
+                    ratios.append(diversity(final, q.embeddings, m_cap) / before)
+        sets.append(final)
+    return sets, ratios, n_modified, n_zero
+
+
 def _run_one_trial(data: Sequence[LabeledQuery], protocol: TrialProtocol, trial: int) -> TrialRecord:
     config = protocol.config
     rng = np.random.default_rng(np.random.SeedSequence(protocol.seed, spawn_key=(trial,)))
@@ -174,28 +205,12 @@ def _run_one_trial(data: Sequence[LabeledQuery], protocol: TrialProtocol, trial:
 
     result = calibrate(cal, config)
     lam = result.lambda_hat
-
-    sizes = np.empty(len(test), dtype=int)
-    losses = np.empty(len(test))
-    ratios: list[float] = []
-    n_modified = 0
-    n_zero = 0
-    for i, q in enumerate(test):
-        m = derive_m(q.k, config.m_rule)
-        base = threshold_set(item_scores(q.scores), lam)
-        if config.family == "diverse":
-            final = greedy_prune(base, q.embeddings, config.max_items)
-            if len(base) > config.max_items:
-                n_modified += 1
-                before = diversity(base, q.embeddings, config.max_items)
-                if before == 0.0:
-                    n_zero += 1
-                else:
-                    ratios.append(diversity(final, q.embeddings, config.max_items) / before)
-        else:
-            final = base
-        sizes[i] = len(final)
-        losses[i] = fdp(final, q.ranking, m)
+    # max_items is None exactly for the plain family.
+    sets, ratios, n_modified, n_zero = _threshold_and_prune(test, lam, config.max_items)
+    sizes = np.array([len(s) for s in sets], dtype=int)
+    losses = np.array(
+        [fdp(s, q.ranking, derive_m(q.k, config.m_rule)) for q, s in zip(test, sets)], dtype=float
+    )
 
     sampled = int(sizes[rng.integers(len(test))]) if protocol.single_size_sample else None
     return TrialRecord(
@@ -327,22 +342,7 @@ def relative_diversity_improvement(
     modified query contributes the ratio of pruned to unpruned diversity.
     Zero-diversity denominators are excluded from the mean and counted.
     """
-    ratios = []
-    n_modified = 0
-    n_zero = 0
-    for q in queries:
-        if q.embeddings is None:
-            raise ValueError(f"query {q.query_id!r} has no embeddings")
-        base = threshold_set(item_scores(q.scores), lambda_hat)
-        if len(base) <= m_cap:
-            continue
-        n_modified += 1
-        before = diversity(base, q.embeddings, m_cap)
-        if before == 0.0:
-            n_zero += 1
-            continue
-        pruned = greedy_prune(base, q.embeddings, m_cap)
-        ratios.append(diversity(pruned, q.embeddings, m_cap) / before)
+    _, ratios, n_modified, n_zero = _threshold_and_prune(queries, lambda_hat, m_cap)
     return DiversityStats(
         mean_ratio=float(np.mean(ratios)) if ratios else None,
         fraction_modified=n_modified / len(queries) if queries else 0.0,

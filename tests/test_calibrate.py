@@ -255,3 +255,10 @@ class TestPredict:
             predict(scores, 0.1, config)
         out = predict(scores, 0.1, config, embeddings=np.eye(3))
         assert len(out) == 1
+
+    def test_bare_scores_embeddings_row_count_checked(self):
+        scores = PairwiseScores(np.full((3, 3), 0.9))
+        for family, cap in (("diverse", 1), ("plain", None)):
+            config = CalibrationConfig(alpha=0.3, delta=0.1, family=family, max_items=cap)
+            with pytest.raises(ValueError, match=r"\(3, d\)"):
+                predict(scores, 0.1, config, embeddings=np.eye(4))

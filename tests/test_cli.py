@@ -14,7 +14,7 @@ from rankcal import (
     predict,
 )
 from rankcal.cli import main
-from rankcal.data import load_dataset, write_dataset
+from rankcal.data import load_dataset, read_embeddings, read_scores, write_dataset
 from rankcal.risk import derive_m, fdp
 
 
@@ -178,6 +178,41 @@ class TestPredictCommand:
         main(["predict", "--scores", str(paths["scores"]), "--lambda", "0.5"])
         rows = list(csv.DictReader(capsys.readouterr().out.strip().splitlines()))
         assert all(row["fdp"] == "" for row in rows)
+
+    def test_unlabeled_diverse_matches_bare_score_library(self, dataset_paths, capsys):
+        paths, _ = dataset_paths
+        code = main([
+            "predict",
+            "--scores", str(paths["scores"]),
+            "--embeddings", str(paths["embeddings"]),
+            "--diverse", "--max-items", "2",
+            "--lambda", "0.3",
+        ])
+        assert code == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.strip().splitlines()))
+        config = CalibrationConfig(alpha=0.3, delta=0.1, family="diverse", max_items=2)
+        embeddings = dict(read_embeddings(paths["embeddings"]))
+        score_pairs = read_scores(paths["scores"])
+        assert len(rows) == len(score_pairs)
+        pruned = 0
+        for row, (qid, scores) in zip(rows, score_pairs):
+            base = predict(scores, 0.3, CalibrationConfig(alpha=0.3, delta=0.1))
+            pred = predict(scores, 0.3, config, embeddings=embeddings[qid])
+            pruned += len(base) > len(pred)
+            assert row["query_id"] == qid
+            assert row["items"] == " ".join(str(i) for i in pred.items)
+            assert row["fdp"] == ""
+        assert pruned  # the cap was active on some queries
+
+    def test_unlabeled_embeddings_row_mismatch_exits_2(self, tmp_path, capsys):
+        scores = tmp_path / "s.txt"
+        scores.write_text("query q1 k 2\n0 0.6\n0.4 0\n")
+        emb = tmp_path / "e.txt"
+        emb.write_text("query q1 k 3 d 1\n0.0\n1.0\n2.0\n")
+        code = main(["predict", "--scores", str(scores), "--embeddings", str(emb),
+                     "--diverse", "--max-items", "1", "--lambda", "0.3"])
+        assert code == 2
+        assert "'q1'" in capsys.readouterr().err
 
     def test_lambda_out_of_range(self, dataset_paths, capsys):
         paths, _ = dataset_paths

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankcal import EmbeddingSet, PredictionSet, diversity, exhaustive_prune, greedy_prune
+from rankcal import PredictionSet, diversity, exhaustive_prune, greedy_prune
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 COLLINEAR = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
@@ -25,15 +25,6 @@ def random_instance(seed, max_size=10, dim=3):
     size = int(rng.integers(1, k + 1))
     items = (rng.permutation(k)[:size] + 1).tolist()
     return PredictionSet(items), vectors
-
-
-class TestEmbeddingSet:
-    def test_validation(self):
-        EmbeddingSet(np.zeros((3, 2)))
-        with pytest.raises(ValueError):
-            EmbeddingSet(np.zeros((3,)))
-        with pytest.raises(ValueError):
-            EmbeddingSet(np.array([[np.nan, 0.0]]))
 
 
 class TestDiversity:
@@ -58,6 +49,12 @@ class TestDiversity:
             diversity(PredictionSet([1]), TRIANGLE, 0)
         with pytest.raises(ValueError, match="exceeds"):
             diversity(PredictionSet([4]), TRIANGLE, 2)
+
+    def test_rejects_bad_embeddings(self):
+        with pytest.raises(ValueError, match=r"\(K, d\)"):
+            diversity(PredictionSet([1, 2]), np.zeros((3,)), 2)
+        with pytest.raises(ValueError, match="non-finite"):
+            diversity(PredictionSet([1, 2]), np.array([[np.nan, 0.0], [1.0, 0.0]]), 2)
 
     @given(st.integers(min_value=0, max_value=2**31))
     def test_matches_brute_force(self, seed):
@@ -102,12 +99,13 @@ class TestGreedyPrune:
         out = greedy_prune(PredictionSet([1, 2, 3, 4]), COLLINEAR, 2)
         assert out.items == (1, 4)
 
-    def test_inverted_direction_differs(self):
-        # dropping toward the LEAST diverse remainder keeps interior points
-        out = greedy_prune(PredictionSet([1, 2, 3, 4]), COLLINEAR, 2,
-                           keep_most_diverse=False)
-        assert out.items != (1, 4)
-        assert diversity(out, COLLINEAR, 2) < diversity(PredictionSet([1, 4]), COLLINEAR, 2)
+    def test_rejects_bad_embeddings(self):
+        with pytest.raises(ValueError, match=r"\(K, d\)"):
+            greedy_prune(PredictionSet([1, 2, 3]), np.zeros((3,)), 2)
+        bad = TRIANGLE.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="row 2, column 1 is not finite"):
+            greedy_prune(PredictionSet([1, 2, 3]), bad, 2)
 
     def test_tie_breaks_drop_smallest_index(self):
         # four corners of a square: first removal ties across all items
