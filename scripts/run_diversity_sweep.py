@@ -32,7 +32,6 @@ def parse_args():
     p.add_argument("--queries", type=int, default=2000)
     p.add_argument("--ncal", type=int, default=800)
     p.add_argument("--seed", type=int, default=20260809)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="results/sweeps")
     return p.parse_args()
 
@@ -62,13 +61,13 @@ def main():
 
     alphas = [float(v) for v in args.alphas.split(",")]
     print(f"alpha sweep over {alphas}")
-    rows = sweep("alpha", alphas, data, protocol, n_jobs=args.jobs)
+    rows = sweep("alpha", alphas, data, protocol)
     show(rows)
     write_sweep_csv(out / "alpha_sweep.csv", rows)
 
     caps = [int(float(v)) for v in args.caps.split(",")]
     print(f"cap sweep over {caps}")
-    rows = sweep("max_items", caps, data, protocol, n_jobs=args.jobs)
+    rows = sweep("max_items", caps, data, protocol)
     show(rows)
     write_sweep_csv(out / "cap_sweep.csv", rows)
     print(f"wrote {out}/alpha_sweep.csv, {out}/cap_sweep.csv")

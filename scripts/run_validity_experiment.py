@@ -37,7 +37,6 @@ def parse_args():
     p.add_argument("--seed", type=int, default=20260809)
     p.add_argument("--diverse", action="store_true")
     p.add_argument("--max-items", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="results/validity")
     return p.parse_args()
 
@@ -60,7 +59,7 @@ def main():
     )
     protocol = TrialProtocol(n_cal=args.ncal, config=config,
                              trials=args.trials, seed=args.seed)
-    report = run_trials(data, protocol, n_jobs=args.jobs)
+    report = run_trials(data, protocol)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -32,10 +32,12 @@ from .data import (
     read_embeddings,
     read_scores,
     write_dataset,
+    write_json,
     write_predictions_csv,
     write_report_json,
     write_strata_csv,
     write_sweep_csv,
+    write_trace_csv,
     write_trials_csv,
 )
 from .evaluate import TrialProtocol, run_trials, sweep
@@ -74,7 +76,7 @@ def _add_dataset_flags(p: argparse.ArgumentParser, rankings_required: bool = Tru
     p.add_argument("--embeddings", help="embedding file (required with --diverse)")
 
 
-def _add_config_flags(p: argparse.ArgumentParser):
+def _add_config_flags(p: argparse.ArgumentParser, strict_flag: bool = True):
     p.add_argument("--alpha", type=float, default=0.3, help="target FDR level in (0,1)")
     p.add_argument("--delta", type=float, default=0.1, help="error tolerance in (0,1)")
     p.add_argument("--dlambda", type=float, default=0.01, help="threshold grid step")
@@ -87,8 +89,9 @@ def _add_config_flags(p: argparse.ArgumentParser):
                    help="calibrate the diversity-pruned, size-capped family")
     p.add_argument("--max-items", type=int, default=None,
                    help="set size cap for --diverse")
-    p.add_argument("--strict-guarantee", action="store_true",
-                   help="fail (exit 4) when no test could ever reject at this n")
+    if strict_flag:
+        p.add_argument("--strict-guarantee", action="store_true",
+                       help="fail (exit 4) when no test could ever reject at this n")
 
 
 def _config_from_args(args) -> CalibrationConfig:
@@ -138,11 +141,8 @@ def _manifest(args, command: str, config: Optional[CalibrationConfig], extra: di
 
 
 def _write_manifest(out_dir: Path, name: str, manifest: dict) -> str:
-    path = out_dir / name
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-    return path.name
+    write_json(out_dir / name, manifest)
+    return name
 
 
 def _warn_if_hopeless(config: CalibrationConfig, n: int, strict: bool):
@@ -180,11 +180,7 @@ def _cmd_calibrate(args) -> int:
         }),
     )
     trace_path = out_dir / "trace.csv"
-    with open(trace_path, "w", encoding="utf-8") as f:
-        f.write(f"# manifest={manifest_name}\n")
-        f.write("lambda,mean_fdp,ucb,rejected\n")
-        for entry in result.trace:
-            f.write(f"{entry.lam!r},{entry.mean_fdp!r},{entry.ucb!r},{entry.rejected}\n")
+    write_trace_csv(trace_path, result.trace, manifest=manifest_name)
     print(repr(result.lambda_hat))
     print(f"lambda_hat={result.lambda_hat!r} stopped_reason={result.stopped_reason} "
           f"trace={trace_path}", file=sys.stderr)
@@ -210,14 +206,17 @@ def _cmd_predict(args) -> int:
             loss = fdp(pred, q.ranking, derive_m(q.k, config.m_rule))
             rows.append((q.query_id, pred, repr(loss)))
     else:
-        # No labels: predict on the bare scores; FDP is not reported.
-        score_pairs = read_scores(args.scores)
-        emb = dict(read_embeddings(args.embeddings)) if args.embeddings else {}
-        for qid, scores in score_pairs:
+        # No labels: predict on the bare scores; FDP is not reported. A missing
+        # or misshapen embeddings block is a schema error, as in assemble_queries.
+        emb = dict(read_embeddings(args.embeddings)) if args.embeddings else None
+        for qid, scores in read_scores(args.scores):
+            if emb is not None and qid not in emb:
+                raise SchemaError(f"query {qid!r} has scores but no embeddings")
             try:
-                rows.append((qid, predict(scores, lam, config, embeddings=emb.get(qid)), None))
+                pred = predict(scores, lam, config, embeddings=None if emb is None else emb[qid])
             except ValueError as exc:
-                raise _UsageError(f"query {qid!r}: {exc}") from None
+                raise SchemaError(f"query {qid!r}: {exc}") from None
+            rows.append((qid, pred, None))
 
     if args.out:
         out_dir = _out_dir(args)
@@ -250,7 +249,7 @@ def _cmd_evaluate(args) -> int:
     data = load_dataset(args.scores, args.rankings, args.embeddings)
     protocol = _protocol_from_args(args, config, args.single_size_sample)
     _warn_if_hopeless(config, protocol.n_cal, args.strict_guarantee)
-    report = run_trials(data, protocol, n_jobs=args.jobs)
+    report = run_trials(data, protocol)
 
     out_dir = _out_dir(args)
     manifest_name = _write_manifest(
@@ -282,7 +281,10 @@ def _cmd_sweep(args) -> int:
     except ValueError:
         raise _UsageError(f"--values must be a comma-separated number list, got {args.values!r}")
     param = args.param.replace("-", "_")
-    rows = sweep(param, values, data, protocol, n_jobs=args.jobs)
+    # Only alpha moves the hopeless-n check; warn (or fail) as evaluate would.
+    for alpha in (values if param == "alpha" else [config.alpha]):
+        _warn_if_hopeless(replace(config, alpha=alpha), protocol.n_cal, args.strict_guarantee)
+    rows = sweep(param, values, data, protocol)
 
     out_dir = _out_dir(args)
     manifest_name = _write_manifest(
@@ -297,9 +299,8 @@ def _cmd_sweep(args) -> int:
         }),
     )
     write_sweep_csv(out_dir / "sweep.csv", rows, manifest=manifest_name)
-    with open(out_dir / "sweep.json", "w", encoding="utf-8") as f:
-        json.dump({"manifest": manifest_name, "rows": [asdict(r) for r in rows]}, f, indent=2)
-        f.write("\n")
+    write_json(out_dir / "sweep.json", {"manifest": manifest_name,
+                                        "rows": [asdict(r) for r in rows]})
     print(f"wrote {out_dir / 'sweep.csv'}, {out_dir / 'sweep.json'}", file=sys.stderr)
     return EXIT_OK
 
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="emit calibrated sets for a dataset")
     _add_dataset_flags(p, rankings_required=False)
-    _add_config_flags(p)
+    _add_config_flags(p, strict_flag=False)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="calibrated threshold")
     p.add_argument("--manifest", help="read lambda_hat from a calibrate manifest")
@@ -362,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--single-size-sample", action="store_true",
                    help="record one uniform test query's set size per trial")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads (output-invariant)")
     p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -374,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--ncal", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help=f"output directory (default ${OUTPUT_DIR_ENV} or .)")
     p.set_defaults(func=_cmd_sweep)
 

@@ -140,16 +140,14 @@ class LabeledQuery:
     """One query's model scores and ground truth, plus optional side data.
 
     ``embeddings`` is a (K, d) array of item embeddings used only by the
-    diversity-aware set family; ``relevance`` carries the raw graded labels
-    the ranking was derived from, when known. Raw feature vectors never enter
-    the engine -- the contract starts at the pairwise matrix and embeddings.
+    diversity-aware set family. Raw feature vectors never enter the engine --
+    the contract starts at the pairwise matrix and embeddings.
     """
 
     query_id: str
     scores: PairwiseScores
     ranking: Ranking
     embeddings: Optional[np.ndarray] = None
-    relevance: Optional[np.ndarray] = None
 
     def __post_init__(self):
         k = self.scores.k
@@ -163,14 +161,6 @@ class LabeledQuery:
             except ValueError as exc:
                 raise ValueError(f"query {self.query_id!r}: {exc}") from None
             object.__setattr__(self, "embeddings", emb)
-        if self.relevance is not None:
-            rel = np.array(self.relevance, dtype=int)
-            if rel.shape != (k,):
-                raise ValueError(
-                    f"query {self.query_id!r}: relevance must have length {k}, got {rel.shape}"
-                )
-            rel.setflags(write=False)
-            object.__setattr__(self, "relevance", rel)
 
     @property
     def k(self) -> int:
@@ -190,7 +180,6 @@ class LabeledQuery:
             and self.scores == other.scores
             and self.ranking == other.ranking
             and opt_eq(self.embeddings, other.embeddings)
-            and opt_eq(self.relevance, other.relevance)
         )
 
 

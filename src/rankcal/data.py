@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
-from scipy.special import expit
 
 from .core import LabeledQuery, PairwiseScores, PredictionSet, Ranking, _checked_embeddings
 
@@ -54,7 +53,9 @@ __all__ = [
     "write_trials_csv",
     "write_strata_csv",
     "write_sweep_csv",
+    "write_trace_csv",
     "write_report_json",
+    "write_json",
 ]
 
 
@@ -204,7 +205,10 @@ def pairwise_from_utilities(utilities, temperature: float = 1.0) -> PairwiseScor
         raise ValueError("utilities must be a nonempty 1-D array")
     if not np.all(np.isfinite(u)):
         raise ValueError("utilities contain non-finite values")
-    probs = expit((u[:, None] - u[None, :]) / temperature)
+    z = (u[:, None] - u[None, :]) / temperature
+    # exp(-z) overflows to inf only where the probability is 0.
+    with np.errstate(over="ignore"):
+        probs = 1.0 / (1.0 + np.exp(-z))
     np.fill_diagonal(probs, 0.0)
     return PairwiseScores(probs)
 
@@ -497,6 +501,16 @@ def _write_csv(target, header: Sequence[str], rows: Iterable[Sequence], manifest
             f.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
 
+def write_trace_csv(target, trace, manifest: Optional[str] = None) -> None:
+    """One row per tested threshold of a calibration walk, in walk order."""
+    _write_csv(
+        target,
+        ("lambda", "mean_fdp", "ucb", "rejected"),
+        ((repr(e.lam), repr(e.mean_fdp), repr(e.ucb), e.rejected) for e in trace),
+        manifest,
+    )
+
+
 def write_predictions_csv(target, rows, manifest: Optional[str] = None) -> None:
     """Rows of (query_id, PredictionSet, fdp-or-None)."""
     def fmt(qid, pred: PredictionSet, loss):
@@ -542,6 +556,11 @@ def write_report_json(target, report, manifest: Optional[str] = None) -> None:
     payload = report.to_dict()
     if manifest:
         payload["manifest"] = manifest
+    write_json(target, payload)
+
+
+def write_json(target, payload) -> None:
+    """Every JSON artefact (reports, sweeps, manifests): 2-space indent, final newline."""
     with _text_stream(target, "w") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")

@@ -14,8 +14,7 @@ variant is available via ``single_size_sample`` for protocol fidelity.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,13 +98,7 @@ class DiversityStats:
     n_zero_denominator: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_ratio": self.mean_ratio,
-            "fraction_modified": self.fraction_modified,
-            "n_modified": self.n_modified,
-            "n_evaluated": self.n_evaluated,
-            "n_zero_denominator": self.n_zero_denominator,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -141,16 +134,7 @@ class EvalReport:
                 "counts": self.size_hist[0].tolist(),
                 "edges": self.size_hist[1].tolist(),
             },
-            "strata": [
-                {
-                    "label": s.label,
-                    "size_lo": s.size_lo,
-                    "size_hi": s.size_hi,
-                    "count": s.count,
-                    "fdr": s.fdr,
-                }
-                for s in self.strata
-            ],
+            "strata": [asdict(s) for s in self.strata],
             "diversity": self.diversity.to_dict() if self.diversity else None,
             "mean_test_fdr": self.mean_test_fdr,
         }
@@ -228,26 +212,19 @@ def _run_one_trial(data: Sequence[LabeledQuery], protocol: TrialProtocol, trial:
     )
 
 
-def run_trials(
-    data: Sequence[LabeledQuery], protocol: TrialProtocol, n_jobs: int = 1
-) -> EvalReport:
+def run_trials(data: Sequence[LabeledQuery], protocol: TrialProtocol) -> EvalReport:
     """Run the repeated-split protocol and aggregate into an :class:`EvalReport`.
 
-    All randomness derives from ``protocol.seed`` via per-trial substreams and
-    aggregation is in trial order, so reports are bit-identical for any
-    ``n_jobs``.
+    Trial ``t`` draws all its randomness from its own substream of
+    ``(protocol.seed, t)``, so each trial's record depends only on that pair:
+    the first trials of a longer run equal those of a shorter one.
     """
     if protocol.n_cal >= len(data):
         raise ValueError(
             f"n_cal={protocol.n_cal} must leave at least one test query "
             f"(dataset has {len(data)})"
         )
-    trials = range(protocol.trials)
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            records = list(pool.map(lambda t: _run_one_trial(data, protocol, t), trials))
-    else:
-        records = [_run_one_trial(data, protocol, t) for t in trials]
+    records = [_run_one_trial(data, protocol, t) for t in range(protocol.trials)]
 
     risks = np.array([r.test_fdr for r in records])
     if protocol.single_size_sample:
@@ -357,7 +334,6 @@ def sweep(
     values: Sequence[float],
     data: Sequence[LabeledQuery],
     protocol: TrialProtocol,
-    n_jobs: int = 1,
 ) -> list[SweepRow]:
     """Re-run the trial protocol for each value of ``alpha`` or ``max_items``.
 
@@ -374,7 +350,7 @@ def sweep(
             config = replace(protocol.config, alpha=float(value))
         else:
             config = replace(protocol.config, max_items=int(value))
-        report = run_trials(data, replace(protocol, config=config), n_jobs=n_jobs)
+        report = run_trials(data, replace(protocol, config=config))
         rows.append(
             SweepRow(
                 param=param,

@@ -119,6 +119,20 @@ class TestCalibrateCommand:
         assert "warning" in capsys.readouterr().err
         assert main(args + ["--strict-guarantee"]) == 4
 
+    def test_sweep_strict_guarantee_exits_4(self, dataset_paths, tmp_path, capsys):
+        paths, _ = dataset_paths
+        args = ["sweep", "--scores", str(paths["scores"]),
+                "--rankings", str(paths["rankings"]),
+                "--param", "alpha", "--values", "0.3,0.9", "--delta", "0.1",
+                "--trials", "1", "--ncal", "5", "--out", str(tmp_path / "o")]
+        assert main(args) == 0  # warned for alpha 0.3 only, not failed
+        assert capsys.readouterr().err.count("warning") == 1
+        assert main(args + ["--strict-guarantee"]) == 4
+        # evaluate agrees at the same split size
+        assert main(["evaluate", *args[1:5], "--alpha", "0.3", "--trials", "1",
+                     "--ncal", "5", "--strict-guarantee",
+                     "--out", str(tmp_path / "e")]) == 4
+
     def test_unknown_bound_exits_2(self, dataset_paths, tmp_path):
         paths, _ = dataset_paths
         code = main(["calibrate", "--scores", str(paths["scores"]),
@@ -204,14 +218,19 @@ class TestPredictCommand:
             assert row["fdp"] == ""
         assert pruned  # the cap was active on some queries
 
-    def test_unlabeled_embeddings_row_mismatch_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("labeled", [True, False], ids=["rankings", "bare-scores"])
+    def test_embeddings_row_mismatch_exits_3(self, tmp_path, capsys, labeled):
         scores = tmp_path / "s.txt"
         scores.write_text("query q1 k 2\n0 0.6\n0.4 0\n")
+        ranks = tmp_path / "r.txt"
+        ranks.write_text("query q1 k 2\n1 2\n")
         emb = tmp_path / "e.txt"
         emb.write_text("query q1 k 3 d 1\n0.0\n1.0\n2.0\n")
-        code = main(["predict", "--scores", str(scores), "--embeddings", str(emb),
-                     "--diverse", "--max-items", "1", "--lambda", "0.3"])
-        assert code == 2
+        args = ["predict", "--scores", str(scores), "--embeddings", str(emb),
+                "--diverse", "--max-items", "1", "--lambda", "0.3"]
+        if labeled:
+            args += ["--rankings", str(ranks)]
+        assert main(args) == 3
         assert "'q1'" in capsys.readouterr().err
 
     def test_lambda_out_of_range(self, dataset_paths, capsys):
@@ -319,6 +338,19 @@ class TestModuleEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "synth.scores.txt").exists()
+
+    def test_scipy_never_imported(self):
+        probe = "import rankcal, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        # -X importtime lists every module the command imports on stderr.
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "rankcal", "--version"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "rankcal.cli" in imported
+        assert [m for m in imported if m.split(".")[0] == "scipy"] == []
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit):

@@ -95,12 +95,6 @@ class TestLabeledQuery:
         with pytest.raises(ValueError, match="non-finite"):
             LabeledQuery("q", scores, ranking, embeddings=np.array([[np.inf], [0.0]]))
 
-    def test_relevance_length_checked(self):
-        scores = PairwiseScores(np.full((2, 2), 0.5))
-        ranking = Ranking(np.array([1, 2]))
-        with pytest.raises(ValueError, match="relevance"):
-            LabeledQuery("q", scores, ranking, relevance=np.array([1, 2, 3]))
-
     def test_equality_is_structural(self):
         def make():
             return LabeledQuery(

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -152,8 +153,12 @@ class TestPairwiseFromUtilities:
         assert scores.probs[0, 1] == pytest.approx(0.5, abs=1e-12)
 
     def test_low_temperature_saturates(self):
-        scores = pairwise_from_utilities(np.array([1.0, 0.0]), 1e-6)
-        assert scores.probs[0, 1] == pytest.approx(1.0, abs=1e-6)
+        # exp overflows on the losing side; that must be silent and give exactly 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = pairwise_from_utilities([1.0, 0.0], 1e-6)
+        assert scores.probs[0, 1] == 1.0
+        assert scores.probs[1, 0] == 0.0
 
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
