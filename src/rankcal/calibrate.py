@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import LabeledQuery, PairwiseScores, PredictionSet, item_scores, threshold_set
 from .core import _checked_embeddings
-from .diversity import greedy_prune
+from .diversity import _greedy_prune, greedy_prune
 from .risk import MRule, derive_m, fdp, get_bound
 
 __all__ = [
@@ -66,9 +66,10 @@ class CalibrationConfig:
         if self.family not in ("plain", "diverse"):
             raise ValueError(f"family must be 'plain' or 'diverse', got {self.family!r}")
         if self.family == "diverse":
-            if self.max_items is None or int(self.max_items) < 1:
-                raise ValueError("diverse family requires max_items >= 1")
-            object.__setattr__(self, "max_items", int(self.max_items))
+            cap = self.max_items
+            if cap is None or not float(cap).is_integer() or cap < 1:
+                raise ValueError(f"diverse family requires an integer max_items >= 1, got {cap!r}")
+            object.__setattr__(self, "max_items", int(cap))
         elif self.max_items is not None:
             raise ValueError("max_items only applies to the diverse family")
         get_bound(self.bound)  # fail fast on unknown bounds
@@ -148,42 +149,42 @@ def _query_loss_profile(query: LabeledQuery, config: CalibrationConfig):
         cap = config.max_items
         for c in range(cap + 1, query.k + 1):
             members = PredictionSet((np.sort(order[:c]) + 1).tolist())
-            pruned = greedy_prune(members, query.embeddings, cap)
+            pruned = _greedy_prune(members, query.embeddings, cap)
             fdp_by_count[c] = fdp(pruned, query.ranking, m)
     return np.sort(s), fdp_by_count
 
 
-def _loss_matrix(data: Sequence[LabeledQuery], config: CalibrationConfig, grid: np.ndarray):
-    """Per-query FDP at every grid threshold, shape (len(data), len(grid))."""
-    losses = np.empty((len(data), grid.size))
-    for row, query in enumerate(data):
-        scores_asc, fdp_by_count = _query_loss_profile(query, config)
-        counts = query.k - np.searchsorted(scores_asc, grid, side="left")
-        losses[row] = fdp_by_count[counts]
-    return losses
+def _loss_table(data: Sequence[LabeledQuery], config: CalibrationConfig, thresholds: np.ndarray):
+    """Profile each query once: its FDP by set size, and the set size at each threshold.
 
-
-def calibrate(data: Sequence[LabeledQuery], config: CalibrationConfig) -> CalibrationResult:
-    """Select the smallest grid threshold whose FDR test still rejects.
-
-    Walks the grid from the largest candidate downward. At each threshold the
-    per-query false discovery proportions of the configured family feed the
-    configured bound; the null "FDR > alpha" is rejected iff the bound falls
-    below ``alpha``. The walk stops at the first failure and backtracks one
-    step. Deterministic: identical data and config give an identical result.
+    ``fdp_by_size`` is zero-padded to the largest K; ``sizes`` uses the smallest
+    unsigned dtype that holds it. A query's FDP at ``thresholds[col]`` is the
+    gather ``fdp_by_size[row, sizes[row, col]]``.
     """
     if len(data) == 0:
         raise ValueError("calibration requires at least one query")
-    if config.family == "diverse":
-        for q in data:
-            if q.embeddings is None:
-                raise ValueError(
-                    f"diverse family requires embeddings on every query; {q.query_id!r} has none"
-                )
-    grid = lambda_grid(config.d_lambda)
-    bound_fn = get_bound(config.bound)
-    losses = _loss_matrix(data, config, grid)
+    missing = [q.query_id for q in data if config.family == "diverse" and q.embeddings is None]
+    if missing:
+        raise ValueError(f"diverse family requires embeddings; query {missing[0]!r} has none")
+    k_max = max(q.k for q in data)
+    fdp_by_size = np.zeros((len(data), k_max + 1))
+    sizes = np.empty((len(data), thresholds.size), dtype=np.min_scalar_type(k_max))
+    for row, query in enumerate(data):
+        scores_asc, fdp_by_count = _query_loss_profile(query, config)
+        fdp_by_size[row, : query.k + 1] = fdp_by_count
+        sizes[row] = query.k - np.searchsorted(scores_asc, thresholds, side="left")
+    return fdp_by_size, sizes
 
+
+def _loss_matrix(data: Sequence[LabeledQuery], config: CalibrationConfig, grid: np.ndarray):
+    """Per-query FDP at every grid threshold, shape (len(data), len(grid))."""
+    fdp_by_size, sizes = _loss_table(data, config, grid)
+    return np.take_along_axis(fdp_by_size, sizes, axis=1)
+
+
+def _walk(losses: np.ndarray, grid: np.ndarray, config: CalibrationConfig) -> CalibrationResult:
+    """The fixed-sequence test down ``grid`` over per-query losses, one column per threshold."""
+    bound_fn = get_bound(config.bound)
     trace: list[TraceEntry] = []
     last_rejected: Optional[float] = None
     for col, lam in enumerate(grid):
@@ -202,6 +203,19 @@ def calibrate(data: Sequence[LabeledQuery], config: CalibrationConfig) -> Calibr
     return CalibrationResult(last_rejected, tuple(trace), "exhausted_grid")
 
 
+def calibrate(data: Sequence[LabeledQuery], config: CalibrationConfig) -> CalibrationResult:
+    """Select the smallest grid threshold whose FDR test still rejects.
+
+    Walks the grid from the largest candidate downward. At each threshold the
+    per-query false discovery proportions of the configured family feed the
+    configured bound; the null "FDR > alpha" is rejected iff the bound falls
+    below ``alpha``. The walk stops at the first failure and backtracks one
+    step. Deterministic: identical data and config give an identical result.
+    """
+    grid = lambda_grid(config.d_lambda)
+    return _walk(_loss_matrix(data, config, grid), grid, config)
+
+
 def predict(
     query: Union[LabeledQuery, PairwiseScores],
     lambda_hat: float,
@@ -212,21 +226,18 @@ def predict(
 
     Accepts a full :class:`LabeledQuery` (embeddings taken from it) or a bare
     :class:`PairwiseScores` for unlabeled test points, with ``embeddings``
-    passed separately when the diverse family is in use; bare-score
-    embeddings must have one row per item. The guarantee only transfers when
+    passed separately when the diverse family is in use; embeddings passed
+    separately must have one row per item. The guarantee only transfers when
     ``lambda_hat`` came from a calibration run with this exact family and cap.
     """
-    if isinstance(query, LabeledQuery):
-        scores = query.scores
-        if embeddings is None:
-            embeddings = query.embeddings
-    else:
-        scores = query
-        if embeddings is not None:
-            embeddings = _checked_embeddings(embeddings, scores.k)
+    scores = query.scores if isinstance(query, LabeledQuery) else query
+    if embeddings is not None:
+        embeddings = _checked_embeddings(embeddings, scores.k)
+    elif isinstance(query, LabeledQuery):
+        embeddings = query.embeddings  # checked when the query was built
     base = threshold_set(item_scores(scores), lambda_hat)
     if config.family == "plain":
         return base
     if embeddings is None:
         raise ValueError("diverse family requires embeddings")
-    return greedy_prune(base, embeddings, config.max_items)
+    return _greedy_prune(base, embeddings, config.max_items)

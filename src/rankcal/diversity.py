@@ -20,12 +20,12 @@ __all__ = ["diversity", "greedy_prune", "exhaustive_prune"]
 _EXHAUSTIVE_GUARD = 20
 
 
-def _member_matrix(pred: PredictionSet, embeddings: np.ndarray) -> np.ndarray:
+def _checked_for(pred: PredictionSet, embeddings: np.ndarray) -> np.ndarray:
+    """Checked embeddings that hold a row for every member of ``pred``."""
     mat = _checked_embeddings(embeddings)
-    idx = pred.as_array()
-    if len(idx) and idx[-1] > mat.shape[0]:
-        raise ValueError(f"item index {idx[-1]} exceeds embedding count {mat.shape[0]}")
-    return mat[idx - 1]
+    if len(pred) and pred.items[-1] > mat.shape[0]:
+        raise ValueError(f"item index {pred.items[-1]} exceeds embedding count {mat.shape[0]}")
+    return mat
 
 
 def _distance_matrix(points: np.ndarray) -> np.ndarray:
@@ -40,7 +40,7 @@ def diversity(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> float:
     """
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    pts = _member_matrix(pred, embeddings)
+    pts = _checked_for(pred, embeddings)[pred.as_array() - 1]
     n = pts.shape[0]
     if n <= 1:
         return 0.0
@@ -62,10 +62,17 @@ def greedy_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> Pre
     """
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
+    return _greedy_prune(pred, _checked_for(pred, embeddings), m_cap)
+
+
+def _greedy_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> PredictionSet:
+    """:func:`greedy_prune` without its checks or copy: ``m_cap >= 1``, and ``embeddings``
+    already checked (a :class:`LabeledQuery`'s own) with a row for every member.
+    """
     if len(pred) <= m_cap:
         return pred
     items = pred.as_array()
-    dist = _distance_matrix(_member_matrix(pred, embeddings))
+    dist = _distance_matrix(embeddings[items - 1])
     while items.size > m_cap:
         rowsums = dist.sum(axis=1)
         total = float(rowsums.sum()) / 2.0
@@ -96,7 +103,7 @@ def exhaustive_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) ->
     if len(pred) <= m_cap:
         return pred
     items = pred.as_array()
-    dist = _distance_matrix(_member_matrix(pred, embeddings))
+    dist = _distance_matrix(_checked_for(pred, embeddings)[items - 1])
     best_combo = None
     best_div = -1.0
     for combo in combinations(range(items.size), m_cap):

@@ -1,10 +1,12 @@
 """Repeated-split evaluation protocol: risk histograms, stratified risk, sweeps.
 
-Each trial shuffles the dataset with its own derived substream, calibrates
-on the first ``n_cal`` queries, and scores the rest. Repeating over many
-splits turns the per-run guarantee into an observable: at most a
-``delta``-fraction of trials should show test FDR above ``alpha`` (plus
-binomial slack from the finite trial count).
+Each query is profiled once per dataset into a loss table: its FDP at every
+grid threshold. Each trial shuffles the dataset with its own derived
+substream, calibrates on the table rows of the first ``n_cal`` queries, and
+reads the rest's FDP and set size at the selected threshold; an alpha sweep
+shares one table. Repeating over many splits turns the per-run guarantee
+into an observable: at most a ``delta``-fraction of trials should show test
+FDR above ``alpha`` (plus binomial slack from the finite trial count).
 
 Set sizes are recorded for every test query by default, which strictly
 dominates sampling a single uniform query per trial; the single-sample
@@ -19,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calibrate import CalibrationConfig, calibrate
+from .calibrate import CalibrationConfig, _loss_table, _walk, lambda_grid
 from .core import LabeledQuery, PredictionSet, item_scores, threshold_set
 from .diversity import diversity, greedy_prune
 from .risk import MRule, derive_m, fdp
@@ -180,31 +182,41 @@ def _threshold_and_prune(
     return sets, ratios, n_modified, n_zero
 
 
-def _run_one_trial(data: Sequence[LabeledQuery], protocol: TrialProtocol, trial: int) -> TrialRecord:
+def _trial_table(data: Sequence[LabeledQuery], protocol: TrialProtocol):
+    """The grid, and the loss table at ``[1.0, *grid]``: 1.0 is the walk's fallback."""
+    if protocol.n_cal >= len(data):
+        raise ValueError(
+            f"n_cal={protocol.n_cal} must leave at least one test query "
+            f"(dataset has {len(data)})"
+        )
+    grid = lambda_grid(protocol.config.d_lambda)
+    return (grid, *_loss_table(data, protocol.config, np.concatenate(([1.0], grid))))
+
+
+def _run_one_trial(data, protocol: TrialProtocol, trial: int, grid, fdp_by_size, sizes):
     config = protocol.config
     rng = np.random.default_rng(np.random.SeedSequence(protocol.seed, spawn_key=(trial,)))
     perm = rng.permutation(len(data))
-    cal = [data[j] for j in perm[: protocol.n_cal]]
-    test = [data[j] for j in perm[protocol.n_cal :]]
+    cal, test = perm[: protocol.n_cal], perm[protocol.n_cal :]
 
-    result = calibrate(cal, config)
-    lam = result.lambda_hat
-    # max_items is None exactly for the plain family.
-    sets, ratios, n_modified, n_zero = _threshold_and_prune(test, lam, config.max_items)
-    sizes = np.array([len(s) for s in sets], dtype=int)
-    losses = np.array(
-        [fdp(s, q.ranking, derive_m(q.k, config.m_rule)) for q, s in zip(test, sets)], dtype=float
-    )
+    result = _walk(fdp_by_size[cal[:, None], sizes[cal, 1:]], grid, config)
+    col = sum(entry.rejected for entry in result.trace)  # lambda_hat's column; 0 is 1.0
+    counts = sizes[test, col].astype(int)
+    losses = fdp_by_size[test, counts]
+    cap = config.max_items  # None exactly for the plain family, whose sets are never pruned
+    set_sizes = counts if cap is None else np.minimum(counts, cap)
+    modified = [] if cap is None else [data[j] for j in test[counts > cap]]
+    _, ratios, n_modified, n_zero = _threshold_and_prune(modified, result.lambda_hat, cap)
 
-    sampled = int(sizes[rng.integers(len(test))]) if protocol.single_size_sample else None
+    sampled = int(set_sizes[rng.integers(len(test))]) if protocol.single_size_sample else None
     return TrialRecord(
         trial=trial,
-        lambda_hat=lam,
+        lambda_hat=result.lambda_hat,
         stopped_reason=result.stopped_reason,
         test_fdr=float(losses.mean()),
-        mean_set_size=float(sizes.mean()),
+        mean_set_size=float(set_sizes.mean()),
         sampled_set_size=sampled,
-        set_sizes=sizes,
+        set_sizes=set_sizes,
         fdps=losses,
         diversity_ratios=np.array(ratios),
         n_modified=n_modified,
@@ -215,16 +227,16 @@ def _run_one_trial(data: Sequence[LabeledQuery], protocol: TrialProtocol, trial:
 def run_trials(data: Sequence[LabeledQuery], protocol: TrialProtocol) -> EvalReport:
     """Run the repeated-split protocol and aggregate into an :class:`EvalReport`.
 
-    Trial ``t`` draws all its randomness from its own substream of
+    Each query is profiled once, into one loss table for every trial. Trial
+    ``t`` draws all its randomness from its own substream of
     ``(protocol.seed, t)``, so each trial's record depends only on that pair:
     the first trials of a longer run equal those of a shorter one.
     """
-    if protocol.n_cal >= len(data):
-        raise ValueError(
-            f"n_cal={protocol.n_cal} must leave at least one test query "
-            f"(dataset has {len(data)})"
-        )
-    records = [_run_one_trial(data, protocol, t) for t in range(protocol.trials)]
+    return _run_trials(data, protocol, _trial_table(data, protocol))
+
+
+def _run_trials(data: Sequence[LabeledQuery], protocol: TrialProtocol, table) -> EvalReport:
+    records = [_run_one_trial(data, protocol, t, *table) for t in range(protocol.trials)]
 
     risks = np.array([r.test_fdr for r in records])
     if protocol.single_size_sample:
@@ -338,19 +350,19 @@ def sweep(
     """Re-run the trial protocol for each value of ``alpha`` or ``max_items``.
 
     Every run shares the protocol's base seed, so rows differ only through
-    the swept parameter.
+    the swept parameter. ``alpha`` moves only the walk, so an alpha sweep
+    profiles each query once and shares one loss table; a ``max_items``
+    sweep builds one table per cap.
     """
     if param not in ("alpha", "max_items"):
         raise ValueError(f"param must be 'alpha' or 'max_items', got {param!r}")
     if len(values) == 0:
         raise ValueError("sweep requires at least one value")
     rows = []
+    table = _trial_table(data, protocol) if param == "alpha" else None
     for value in values:
-        if param == "alpha":
-            config = replace(protocol.config, alpha=float(value))
-        else:
-            config = replace(protocol.config, max_items=int(value))
-        report = run_trials(data, replace(protocol, config=config))
+        run = replace(protocol, config=replace(protocol.config, **{param: value}))
+        report = _run_trials(data, run, table if table is not None else _trial_table(data, run))
         rows.append(
             SweepRow(
                 param=param,

@@ -53,6 +53,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown bound"):
             CalibrationConfig(alpha=0.3, delta=0.1, bound="nope")
 
+    def test_max_items_must_be_integral(self):
+        for cap in (2.7, 0.5, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="integer max_items"):
+                CalibrationConfig(alpha=0.3, delta=0.1, family="diverse", max_items=cap)
+        for cap in (3, 3.0, np.int64(3), np.float64(3.0)):
+            config = CalibrationConfig(alpha=0.3, delta=0.1, family="diverse", max_items=cap)
+            assert config.max_items == 3 and type(config.max_items) is int
+
 
 class TestLambdaGrid:
     def test_default_step(self):
@@ -195,6 +203,30 @@ class TestCalibrate:
         config = CalibrationConfig(alpha=0.3, delta=0.1, family="diverse", max_items=2)
         with pytest.raises(ValueError, match="embeddings"):
             calibrate(data, config)
+
+    def test_diverse_calibration_never_rechecks_query_embeddings(self, monkeypatch):
+        # A LabeledQuery holds a checked read-only copy of its embeddings, so
+        # neither the diverse profile nor predict copies and checks it again.
+        import sys
+
+        data = random_dataset(seed=64, n=30, k_max=8, with_embeddings=True)
+        config = CalibrationConfig(alpha=0.4, delta=0.3, family="diverse", max_items=2)
+        checked = sys.modules["rankcal.core"]._checked_embeddings
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return checked(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            # Patch every module that bound the checker by name, not only core.
+            if name.startswith("rankcal") and vars(module).get("_checked_embeddings") is checked:
+                monkeypatch.setattr(module, "_checked_embeddings", counting)
+        result = calibrate(data, config)
+        sets = [predict(q, 0.0, config) for q in data]
+        assert calls == []
+        assert any(q.k > 2 for q in data) and all(len(s) <= 2 for s in sets)
+        assert result.trace
 
     def test_diverse_calibration_scores_pruned_sets(self):
         # The selection must be driven by the pruned sets' losses, not the

@@ -298,6 +298,20 @@ class TestEvaluateAndSweep:
         assert [float(r["value"]) for r in rows] == [0.3, 0.5]
         assert all(r["fraction_modified"] != "" for r in rows)
 
+    def test_sweep_fractional_max_items_exits_2(self, dataset_paths, tmp_path, capsys):
+        paths, _ = dataset_paths
+        out = tmp_path / "sw"
+        args = ["sweep", *(arg for kind in ("scores", "rankings", "embeddings")
+                           for arg in (f"--{kind}", str(paths[kind]))),
+                "--diverse", "--max-items", "3", "--param", "max-items",
+                "--trials", "1", "--ncal", "40", "--out", str(out)]
+        assert main(args + ["--values", "2.7,2"]) == 2
+        assert "integer max_items" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        assert main(args + ["--values", "2.0,3"]) == 0
+        _, rows = read_csv(out / "sweep.csv")
+        assert [float(r["value"]) for r in rows] == [2.0, 3.0]
+
 
 class TestSynthCommand:
     def test_deterministic_files(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,20 @@ from rankcal import (
     Ranking,
     SyntheticSpec,
     TrialProtocol,
+    TrialRecord,
     calibrate,
+    diverse_family,
     generate_synthetic,
     item_scores,
+    lambda_grid,
+    plain_family,
     relative_diversity_improvement,
     run_trials,
     stratified_fdr,
     sweep,
     threshold_set,
 )
+import rankcal.evaluate
 from rankcal.evaluate import _stratify
 from rankcal.risk import derive_m, fdp
 
@@ -126,6 +133,115 @@ class TestRunTrials:
         assert 0.0 <= report.diversity.fraction_modified <= 1.0
         if report.diversity.mean_ratio is not None:
             assert report.diversity.mean_ratio <= 1.0 + 1e-12
+
+
+def reference_record(data, protocol, trial):
+    """One trial done the long way: calibrate the split, then build and score each test set."""
+    config = protocol.config
+    rng = np.random.default_rng(np.random.SeedSequence(protocol.seed, spawn_key=(trial,)))
+    perm = rng.permutation(len(data))
+    cal = [data[j] for j in perm[: protocol.n_cal]]
+    test = [data[j] for j in perm[protocol.n_cal:]]
+    result = calibrate(cal, config)
+    lam, cap = result.lambda_hat, config.max_items
+    family = plain_family if cap is None else diverse_family(cap)
+    sets = [family(q, lam) for q in test]
+    sizes = np.array([len(s) for s in sets], dtype=int)
+    fdps = np.array([fdp(s, q.ranking, derive_m(q.k, config.m_rule)) for q, s in zip(test, sets)])
+    stats = [relative_diversity_improvement([q], lam, cap) for q in test] if cap else []
+    return TrialRecord(
+        trial=trial,
+        lambda_hat=lam,
+        stopped_reason=result.stopped_reason,
+        test_fdr=float(fdps.mean()),
+        mean_set_size=float(sizes.mean()),
+        sampled_set_size=(int(sizes[rng.integers(len(test))])
+                          if protocol.single_size_sample else None),
+        set_sizes=sizes,
+        fdps=fdps,
+        diversity_ratios=np.array([s.mean_ratio for s in stats if s.mean_ratio is not None]),
+        n_modified=sum(s.n_modified for s in stats),
+        n_zero_denominator=sum(s.n_zero_denominator for s in stats),
+    )
+
+
+def quantised(data, step=20):
+    """The same queries with every probability rounded to a multiple of 1/step."""
+    return [LabeledQuery(q.query_id, PairwiseScores(np.round(q.scores.probs * step) / step),
+                         q.ranking, q.embeddings) for q in data]
+
+
+def synthetic(k_min, k_max, n=90, seed=21):
+    return generate_synthetic(SyntheticSpec(seed=seed, n_queries=n, k_min=k_min, k_max=k_max,
+                                            noise=0.7, embedding_dim=3))
+
+
+def scores_on_grid(data, d_lambda):
+    return any(np.isin(item_scores(q.scores), lambda_grid(d_lambda)).any() for q in data)
+
+
+def modified(report):
+    return sum(r.n_modified for r in report.records)
+
+
+DIVERSE = dict(family="diverse", max_items=2)
+# name: (data, config, protocol options, whether the run reached the edge case)
+EQUIVALENCE_CASES = {
+    "quantised-plain": (quantised(synthetic(2, 7)), dict(alpha=0.4), {},
+                        lambda data, report: scores_on_grid(data, 0.01)),
+    "quantised-diverse": (quantised(synthetic(2, 7)), dict(alpha=0.45, **DIVERSE), {},
+                          lambda data, report: scores_on_grid(data, 0.01) and modified(report)),
+    "quantised-coarse-grid": (quantised(synthetic(2, 7)),
+                              dict(alpha=0.45, d_lambda=0.05, **DIVERSE), {},
+                              lambda data, report: scores_on_grid(data, 0.05)),
+    "k1-and-cap1": (synthetic(1, 4), dict(alpha=0.5, family="diverse", max_items=1), {},
+                    lambda data, report: min(q.k for q in data) == 1 and modified(report)),
+    "k-equals-cap": (synthetic(1, 3), dict(alpha=0.45, family="diverse", max_items=3), {},
+                     lambda data, report: max(q.k for q in data) == 3),
+    "cap-above-uint8": (synthetic(2, 7), dict(alpha=0.45, family="diverse", max_items=300), {},
+                        lambda data, report: not modified(report)),
+    "m-abs-above-k": (synthetic(2, 4), dict(alpha=0.3, m_rule=MRule.absolute(5), **DIVERSE),
+                      {}, lambda data, report: max(q.k for q in data) < 5),
+    "fallback-to-one": (synthetic(2, 7), dict(alpha=0.01, **DIVERSE), {},
+                        lambda data, report: all(r.lambda_hat == 1.0 for r in report.records)),
+    "empty-grid": (synthetic(2, 7), dict(alpha=0.4, d_lambda=0.6, **DIVERSE), {},
+                   lambda data, report: lambda_grid(0.6).size == 0 and not modified(report)),
+    "single-size-sample": (synthetic(2, 7), dict(alpha=0.45, **DIVERSE),
+                           dict(single_size_sample=True),
+                           lambda data, report: modified(report)),
+}
+
+
+class TestTrialsEqualReference:
+    """``run_trials`` gathers from one loss table; each record must equal the long way's."""
+
+    @pytest.mark.parametrize("case", sorted(EQUIVALENCE_CASES))
+    def test_records_equal_reference_trials(self, case):
+        data, config_args, protocol_args, reached = EQUIVALENCE_CASES[case]
+        config = CalibrationConfig(delta=0.2, **config_args)
+        protocol = TrialProtocol(n_cal=45, config=config, trials=4, seed=13, **protocol_args)
+        report = run_trials(data, protocol)
+        assert reached(data, report)
+        for record in report.records:
+            want = reference_record(data, protocol, record.trial)
+            for f in fields(TrialRecord):
+                got, ref = getattr(record, f.name), getattr(want, f.name)
+                if isinstance(ref, np.ndarray):
+                    assert got.dtype == ref.dtype and np.array_equal(got, ref), (case, f.name)
+                else:
+                    assert got == ref, (case, f.name, got, ref)
+
+    def test_diverse_query_without_embeddings_fails_before_any_trial(self, monkeypatch):
+        data = synthetic(2, 6)
+        bare = data[7]
+        data[7] = LabeledQuery(bare.query_id, bare.scores, bare.ranking)
+        walks = []
+        monkeypatch.setattr(rankcal.evaluate, "_walk", lambda *a: walks.append(a))
+        config = CalibrationConfig(alpha=0.4, delta=0.2, **DIVERSE)
+        protocol = TrialProtocol(n_cal=45, config=config, trials=3, seed=1)
+        with pytest.raises(ValueError, match=repr(bare.query_id)):
+            run_trials(data, protocol)
+        assert walks == []
 
 
 class TestStratify:
@@ -265,3 +381,32 @@ class TestSweep:
         assert [r.value for r in rows] == [2, 4]
         for r in rows:
             assert r.fraction_modified is not None
+
+    def test_max_items_sweep_rejects_fractional_caps(self):
+        data = small_dataset(n=60, diverse=True)
+        protocol = TrialProtocol(
+            n_cal=30,
+            config=CalibrationConfig(alpha=0.4, delta=0.2, family="diverse", max_items=2),
+            trials=1,
+            seed=6,
+        )
+        with pytest.raises(ValueError, match="integer max_items"):
+            sweep("max_items", [2.7, 2], data, protocol)
+        [row] = sweep("max_items", [3.0], data, protocol)
+        assert row.value == 3.0
+        assert row.mean_test_fdr == run_trials(
+            data, TrialProtocol(n_cal=30, config=CalibrationConfig(
+                alpha=0.4, delta=0.2, family="diverse", max_items=3), trials=1, seed=6)
+        ).mean_test_fdr
+
+    def test_alpha_sweep_equals_separate_runs(self):
+        data = small_dataset(n=80, diverse=True)
+        base = CalibrationConfig(alpha=0.3, delta=0.2, family="diverse", max_items=2)
+        protocol = TrialProtocol(n_cal=40, config=base, trials=3, seed=2)
+        rows = sweep("alpha", [0.2, 0.35, 0.5], data, protocol)
+        for row in rows:
+            config = CalibrationConfig(alpha=row.value, delta=0.2, family="diverse", max_items=2)
+            report = run_trials(data, TrialProtocol(n_cal=40, config=config, trials=3, seed=2))
+            assert row.mean_test_fdr == report.mean_test_fdr
+            assert row.fraction_modified == report.diversity.fraction_modified
+            assert row.mean_relative_diversity == report.diversity.mean_ratio
