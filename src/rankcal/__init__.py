@@ -53,14 +53,12 @@ from .evaluate import (
 )
 from .risk import (
     MRule,
-    available_bounds,
     derive_m,
     empirical_fdr,
     fdp,
     get_bound,
     hoeffding_ucb,
     register_bound,
-    top_m_items,
 )
 
 __version__ = "0.1.0"
@@ -106,12 +104,10 @@ __all__ = [
     "sweep",
     "MRule",
     "derive_m",
-    "top_m_items",
     "fdp",
     "empirical_fdr",
     "hoeffding_ucb",
     "register_bound",
     "get_bound",
-    "available_bounds",
     "__version__",
 ]

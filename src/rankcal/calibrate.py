@@ -12,6 +12,10 @@ probability ``delta``.
 The guarantee is agnostic to the set family: both the plain threshold family
 and its diversity-pruned, size-capped variant are calibrated by the same
 walk, with the pruning applied to every calibration point inside the loop.
+
+Each query is profiled once into a loss table whose columns are the thresholds
+``[1.0, *lambda_grid(d_lambda)]``; the walk gathers only the columns it tests,
+over every row for ``calibrate`` and over its calibration rows for a trial.
 """
 
 from __future__ import annotations
@@ -154,18 +158,24 @@ def _query_loss_profile(query: LabeledQuery, config: CalibrationConfig):
     return np.sort(s), fdp_by_count
 
 
-def _loss_table(data: Sequence[LabeledQuery], config: CalibrationConfig, thresholds: np.ndarray):
-    """Profile each query once: its FDP by set size, and the set size at each threshold.
+def _thresholds(d_lambda: float) -> np.ndarray:
+    """The loss table's columns: the never-tested fallback 1.0, then the grid."""
+    return np.concatenate(([1.0], lambda_grid(d_lambda)))
 
-    ``fdp_by_size`` is zero-padded to the largest K; ``sizes`` uses the smallest
-    unsigned dtype that holds it. A query's FDP at ``thresholds[col]`` is the
-    gather ``fdp_by_size[row, sizes[row, col]]``.
+
+def _loss_table(data: Sequence[LabeledQuery], config: CalibrationConfig):
+    """Profile each query once: its FDP by set size, and its set size at each threshold.
+
+    ``fdp_by_size`` is zero-padded to the largest K; ``sizes`` has one column per
+    threshold of :func:`_thresholds` and the smallest unsigned dtype that holds K.
+    A query's FDP at column ``col`` is the gather ``fdp_by_size[row, sizes[row, col]]``.
     """
     if len(data) == 0:
         raise ValueError("calibration requires at least one query")
     missing = [q.query_id for q in data if config.family == "diverse" and q.embeddings is None]
     if missing:
         raise ValueError(f"diverse family requires embeddings; query {missing[0]!r} has none")
+    thresholds = _thresholds(config.d_lambda)
     k_max = max(q.k for q in data)
     fdp_by_size = np.zeros((len(data), k_max + 1))
     sizes = np.empty((len(data), thresholds.size), dtype=np.min_scalar_type(k_max))
@@ -176,31 +186,26 @@ def _loss_table(data: Sequence[LabeledQuery], config: CalibrationConfig, thresho
     return fdp_by_size, sizes
 
 
-def _loss_matrix(data: Sequence[LabeledQuery], config: CalibrationConfig, grid: np.ndarray):
-    """Per-query FDP at every grid threshold, shape (len(data), len(grid))."""
-    fdp_by_size, sizes = _loss_table(data, config, grid)
-    return np.take_along_axis(fdp_by_size, sizes, axis=1)
+def _walk(table, rows: np.ndarray, config: CalibrationConfig) -> tuple[CalibrationResult, int]:
+    """The fixed-sequence test down the grid over the loss ``table``'s ``rows``.
 
-
-def _walk(losses: np.ndarray, grid: np.ndarray, config: CalibrationConfig) -> CalibrationResult:
-    """The fixed-sequence test down ``grid`` over per-query losses, one column per threshold."""
+    Each tested column's losses are gathered as a 1-D array in ``rows`` order.
+    Returns the result and ``lambda_hat``'s table column (0 for the 1.0 fallback).
+    """
+    fdp_by_size, sizes = table
+    thresholds = _thresholds(config.d_lambda).tolist()
     bound_fn = get_bound(config.bound)
     trace: list[TraceEntry] = []
-    last_rejected: Optional[float] = None
-    for col, lam in enumerate(grid):
-        col_losses = losses[:, col]
-        ucb = bound_fn(col_losses, config.delta)
+    for col in range(1, len(thresholds)):
+        losses = fdp_by_size[rows, sizes[rows, col]]
+        ucb = bound_fn(losses, config.delta)
         rejected = ucb < config.alpha
-        trace.append(TraceEntry(float(lam), float(col_losses.mean()), float(ucb), rejected))
+        trace.append(TraceEntry(thresholds[col], float(losses.mean()), float(ucb), rejected))
         if not rejected:
-            lambda_hat = last_rejected if last_rejected is not None else 1.0
-            return CalibrationResult(lambda_hat, tuple(trace), "failed_to_reject")
-        last_rejected = float(lam)
-    if last_rejected is None:
-        # Degenerate step sizes (> 0.5) can produce an empty grid; nothing was
-        # tested, so fall back to the never-rejected threshold.
-        return CalibrationResult(1.0, (), "failed_to_reject")
-    return CalibrationResult(last_rejected, tuple(trace), "exhausted_grid")
+            return CalibrationResult(thresholds[col - 1], tuple(trace), "failed_to_reject"), col - 1
+    # A step above 0.5 gives an empty grid: nothing is tested, and 1.0 is the fallback.
+    reason = "exhausted_grid" if trace else "failed_to_reject"
+    return CalibrationResult(thresholds[-1], tuple(trace), reason), len(trace)
 
 
 def calibrate(data: Sequence[LabeledQuery], config: CalibrationConfig) -> CalibrationResult:
@@ -212,8 +217,7 @@ def calibrate(data: Sequence[LabeledQuery], config: CalibrationConfig) -> Calibr
     below ``alpha``. The walk stops at the first failure and backtracks one
     step. Deterministic: identical data and config give an identical result.
     """
-    grid = lambda_grid(config.d_lambda)
-    return _walk(_loss_matrix(data, config, grid), grid, config)
+    return _walk(_loss_table(data, config), np.arange(len(data)), config)[0]
 
 
 def predict(

@@ -122,12 +122,14 @@ def _config_dict(config: CalibrationConfig) -> dict:
     return d
 
 
-def _manifest(args, command: str, config: Optional[CalibrationConfig], extra: dict) -> dict:
+def _write_manifest(out_dir: Path, args, command: str, config: Optional[CalibrationConfig],
+                    extra: dict, name: Optional[str] = None) -> str:
+    """Write the run's manifest, by default as ``<command>.manifest.json``; return its name."""
     inputs = {}
-    for name in ("scores", "rankings", "embeddings"):
-        path = getattr(args, name, None)
+    for kind in ("scores", "rankings", "embeddings"):
+        path = getattr(args, kind, None)
         if path:
-            inputs[name] = {"path": str(path), "sha256": _digest(path)}
+            inputs[kind] = {"path": str(path), "sha256": _digest(path)}
     manifest = {
         "tool": "rankcal",
         "version": __version__,
@@ -137,10 +139,7 @@ def _manifest(args, command: str, config: Optional[CalibrationConfig], extra: di
     if config is not None:
         manifest["config"] = _config_dict(config)
     manifest.update(extra)
-    return manifest
-
-
-def _write_manifest(out_dir: Path, name: str, manifest: dict) -> str:
+    name = name or f"{command}.manifest.json"
     write_json(out_dir / name, manifest)
     return name
 
@@ -170,15 +169,11 @@ def _cmd_calibrate(args) -> int:
     result = calibrate(data, config)
 
     out_dir = _out_dir(args)
-    manifest_name = _write_manifest(
-        out_dir,
-        "calibrate.manifest.json",
-        _manifest(args, "calibrate", config, {
-            "n_calibration": len(data),
-            "lambda_hat": result.lambda_hat,
-            "stopped_reason": result.stopped_reason,
-        }),
-    )
+    manifest_name = _write_manifest(out_dir, args, "calibrate", config, {
+        "n_calibration": len(data),
+        "lambda_hat": result.lambda_hat,
+        "stopped_reason": result.stopped_reason,
+    })
     trace_path = out_dir / "trace.csv"
     write_trace_csv(trace_path, result.trace, manifest=manifest_name)
     print(repr(result.lambda_hat))
@@ -187,17 +182,31 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _manifest_lambda(path: str, config: CalibrationConfig) -> float:
+    """A manifest's ``lambda_hat``, if calibrated with ``config``'s family, cap and m-rule."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            manifest = json.load(f)
+        except ValueError as exc:
+            raise SchemaError(f"{path}: not JSON ({exc})") from None
+    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
+            and isinstance(manifest.get("lambda_hat"), (int, float))):
+        raise SchemaError(f"{path}: a manifest must be an object with 'lambda_hat' and 'config'")
+    flags = _config_dict(config)
+    for key in ("family", "max_items", "m_rule"):
+        if manifest["config"].get(key) != flags[key]:
+            raise _UsageError(f"{path} was calibrated with {key}={manifest['config'].get(key)!r}"
+                              f", but the flags give {key}={flags[key]!r}")
+    return manifest["lambda_hat"]
+
+
 def _cmd_predict(args) -> int:
     if (args.lam is None) == (args.manifest is None):
         raise _UsageError("exactly one of --lambda or --manifest is required")
-    if args.lam is not None:
-        lam = args.lam
-    else:
-        with open(args.manifest, encoding="utf-8") as f:
-            lam = json.load(f)["lambda_hat"]
+    config = _config_from_args(args)
+    lam = args.lam if args.manifest is None else _manifest_lambda(args.manifest, config)
     if not 0.0 <= lam <= 1.0:
         raise _UsageError(f"lambda must be in [0, 1], got {lam}")
-    config = _config_from_args(args)
 
     rows = []
     if args.rankings:
@@ -220,11 +229,8 @@ def _cmd_predict(args) -> int:
 
     if args.out:
         out_dir = _out_dir(args)
-        manifest_name = _write_manifest(
-            out_dir,
-            "predict.manifest.json",
-            _manifest(args, "predict", config, {"lambda_hat": lam, "n_queries": len(rows)}),
-        )
+        manifest_name = _write_manifest(out_dir, args, "predict", config,
+                                        {"lambda_hat": lam, "n_queries": len(rows)})
         write_predictions_csv(out_dir / "predictions.csv", rows, manifest=manifest_name)
         print(f"wrote {out_dir / 'predictions.csv'}", file=sys.stderr)
     else:
@@ -252,17 +258,13 @@ def _cmd_evaluate(args) -> int:
     report = run_trials(data, protocol)
 
     out_dir = _out_dir(args)
-    manifest_name = _write_manifest(
-        out_dir,
-        "evaluate.manifest.json",
-        _manifest(args, "evaluate", config, {
-            "trials": protocol.trials,
-            "n_cal": protocol.n_cal,
-            "seed": protocol.seed,
-            "single_size_sample": protocol.single_size_sample,
-            "n_queries": len(data),
-        }),
-    )
+    manifest_name = _write_manifest(out_dir, args, "evaluate", config, {
+        "trials": protocol.trials,
+        "n_cal": protocol.n_cal,
+        "seed": protocol.seed,
+        "single_size_sample": protocol.single_size_sample,
+        "n_queries": len(data),
+    })
     write_trials_csv(out_dir / "trials.csv", report.records, manifest=manifest_name)
     write_strata_csv(out_dir / "strata.csv", report.strata, manifest=manifest_name)
     write_report_json(out_dir / "report.json", report, manifest=manifest_name)
@@ -287,17 +289,13 @@ def _cmd_sweep(args) -> int:
     rows = sweep(param, values, data, protocol)
 
     out_dir = _out_dir(args)
-    manifest_name = _write_manifest(
-        out_dir,
-        "sweep.manifest.json",
-        _manifest(args, "sweep", config, {
-            "param": param,
-            "values": values,
-            "trials": protocol.trials,
-            "n_cal": protocol.n_cal,
-            "seed": protocol.seed,
-        }),
-    )
+    manifest_name = _write_manifest(out_dir, args, "sweep", config, {
+        "param": param,
+        "values": values,
+        "trials": protocol.trials,
+        "n_cal": protocol.n_cal,
+        "seed": protocol.seed,
+    })
     write_sweep_csv(out_dir / "sweep.csv", rows, manifest=manifest_name)
     write_json(out_dir / "sweep.json", {"manifest": manifest_name,
                                         "rows": [asdict(r) for r in rows]})
@@ -319,14 +317,10 @@ def _cmd_synth(args) -> int:
     queries = generate_synthetic(spec)
     out_dir = _out_dir(args)
     paths = write_dataset(out_dir / args.prefix, queries)
-    manifest_name = _write_manifest(
-        out_dir,
-        f"{args.prefix}.manifest.json",
-        _manifest(args, "synth", None, {
-            "spec": asdict(spec),
-            "outputs": {k: str(p) for k, p in paths.items()},
-        }),
-    )
+    manifest_name = _write_manifest(out_dir, args, "synth", None, {
+        "spec": asdict(spec),
+        "outputs": {k: str(p) for k, p in paths.items()},
+    }, name=f"{args.prefix}.manifest.json")
     print("\n".join(str(p) for p in paths.values()))
     print(f"manifest={out_dir / manifest_name}", file=sys.stderr)
     return EXIT_OK

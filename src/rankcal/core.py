@@ -7,7 +7,7 @@ All types are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -28,13 +28,10 @@ class PairwiseScores:
 
     ``probs[i, j]`` estimates the probability that item ``i+1`` outranks item
     ``j+1``. Off-diagonal entries must lie in [0, 1]; the diagonal is ignored
-    by every consumer. Opposing entries are NOT assumed to sum to one -- pass
-    ``check_complementary=True`` to enforce that, or call :meth:`symmetrized`
-    to normalize an incoherent matrix.
+    by every consumer. Opposing entries are NOT assumed to sum to one.
     """
 
     probs: np.ndarray
-    check_complementary: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=float)
@@ -51,33 +48,12 @@ class PairwiseScores:
                 f"off-diagonal entry probs[{i}][{j}]={probs[i, j]!r} "
                 f"(row {i + 1}, column {j + 1}) outside [0, 1]"
             )
-        if self.check_complementary:
-            resid = np.abs(probs + probs.T - 1.0)[off]
-            if resid.size and resid.max() > 1e-9:
-                i, j = np.argwhere(off & (np.abs(probs + probs.T - 1.0) > 1e-9))[0]
-                raise ValueError(
-                    f"probs[{i}][{j}] + probs[{j}][{i}] = {probs[i, j] + probs[j, i]!r}, "
-                    "expected 1 within 1e-9"
-                )
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
     @property
     def k(self) -> int:
         return self.probs.shape[0]
-
-    def symmetrized(self) -> "PairwiseScores":
-        """Normalize opposing entries so they sum to one.
-
-        ``p[i,j] <- p[i,j] / (p[i,j] + p[j,i])``; pairs that sum to zero carry
-        no preference information and become 0.5 each. Diagonal preserved.
-        """
-        p = self.probs
-        total = p + p.T
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(total > 0.0, p / np.where(total > 0.0, total, 1.0), 0.5)
-        np.fill_diagonal(out, np.diag(p))
-        return PairwiseScores(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PairwiseScores):

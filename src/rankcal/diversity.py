@@ -56,9 +56,9 @@ def greedy_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> Pre
     remainder (the element contributing least); on ties the smallest item
     index is dropped.
 
-    The remainder's diversity is evaluated incrementally from a cached
-    distance matrix: dropping ``t`` removes exactly its distance row, so each
-    candidate costs O(1) after an O(s^2) row-sum pass.
+    Each removal sums the rows of the remaining members' distance matrix, scores
+    every candidate from those sums, and copies the matrix without the dropped row
+    and column: O(s^2) time and memory per removal.
     """
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")

@@ -1,9 +1,9 @@
 """Repeated-split evaluation protocol: risk histograms, stratified risk, sweeps.
 
-Each query is profiled once per dataset into a loss table: its FDP at every
-grid threshold. Each trial shuffles the dataset with its own derived
-substream, calibrates on the table rows of the first ``n_cal`` queries, and
-reads the rest's FDP and set size at the selected threshold; an alpha sweep
+Each query is profiled once per dataset into one loss table, whose columns are
+the thresholds ``[1.0, *grid]``. Each trial shuffles the dataset with its own
+derived substream, walks the table rows of the first ``n_cal`` queries, and
+reads the rest's FDP and set size at the selected column; an alpha sweep
 shares one table. Repeating over many splits turns the per-run guarantee
 into an observable: at most a ``delta``-fraction of trials should show test
 FDR above ``alpha`` (plus binomial slack from the finite trial count).
@@ -21,9 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .calibrate import CalibrationConfig, _loss_table, _walk, lambda_grid
+from .calibrate import CalibrationConfig, _loss_table, _walk
 from .core import LabeledQuery, PredictionSet, item_scores, threshold_set
-from .diversity import diversity, greedy_prune
+from .diversity import _greedy_prune, diversity
 from .risk import MRule, derive_m, fdp
 
 __all__ = [
@@ -151,62 +151,60 @@ class SweepRow:
     fraction_modified: Optional[float]
 
 
-def _threshold_and_prune(
-    queries: Sequence[LabeledQuery], lam: float, m_cap: Optional[int]
-) -> tuple[list[PredictionSet], list[float], int, int]:
-    """Each query's set at ``lam`` and the diversity bookkeeping of its pruning.
+def _diversity_ratios(
+    queries: Sequence[LabeledQuery], lam: float, m_cap: int
+) -> tuple[list[float], int, int]:
+    """Diversity bookkeeping of pruning each query's set at ``lam`` to ``m_cap`` items.
 
-    ``m_cap=None`` is the plain family: sets are only thresholded. Otherwise
-    each set is greedily pruned to ``m_cap`` items, and every *modified* set
-    (its thresholded set exceeded the cap) adds its pruned-over-unpruned
-    diversity ratio, or is only counted when the unpruned diversity is zero.
-    Returns ``(sets, ratios, n_modified, n_zero_denominator)``.
+    Every *modified* set (its thresholded set exceeds the cap) adds its
+    pruned-over-unpruned diversity ratio, or is only counted when its unpruned
+    diversity is zero; sets within the cap are left alone. Returns
+    ``(ratios, n_modified, n_zero_denominator)``.
     """
-    sets = []
     ratios: list[float] = []
     n_modified = n_zero = 0
     for q in queries:
-        final = base = threshold_set(item_scores(q.scores), lam)
-        if m_cap is not None:
-            if q.embeddings is None:
-                raise ValueError(f"query {q.query_id!r} has no embeddings")
-            final = greedy_prune(base, q.embeddings, m_cap)
-            if len(base) > m_cap:
-                n_modified += 1
-                before = diversity(base, q.embeddings, m_cap)
-                if before == 0.0:
-                    n_zero += 1
-                else:
-                    ratios.append(diversity(final, q.embeddings, m_cap) / before)
-        sets.append(final)
-    return sets, ratios, n_modified, n_zero
+        if q.embeddings is None:
+            raise ValueError(f"query {q.query_id!r} has no embeddings")
+        base = threshold_set(item_scores(q.scores), lam)
+        if len(base) <= m_cap:
+            continue
+        n_modified += 1
+        before = diversity(base, q.embeddings, m_cap)
+        if before == 0.0:
+            n_zero += 1
+        else:
+            pruned = _greedy_prune(base, q.embeddings, m_cap)  # checked when q was built
+            ratios.append(diversity(pruned, q.embeddings, m_cap) / before)
+    return ratios, n_modified, n_zero
 
 
 def _trial_table(data: Sequence[LabeledQuery], protocol: TrialProtocol):
-    """The grid, and the loss table at ``[1.0, *grid]``: 1.0 is the walk's fallback."""
+    """The dataset's loss table, once ``n_cal`` is known to leave a test query."""
     if protocol.n_cal >= len(data):
         raise ValueError(
             f"n_cal={protocol.n_cal} must leave at least one test query "
             f"(dataset has {len(data)})"
         )
-    grid = lambda_grid(protocol.config.d_lambda)
-    return (grid, *_loss_table(data, protocol.config, np.concatenate(([1.0], grid))))
+    return _loss_table(data, protocol.config)
 
 
-def _run_one_trial(data, protocol: TrialProtocol, trial: int, grid, fdp_by_size, sizes):
+def _run_one_trial(data, protocol: TrialProtocol, trial: int, table):
     config = protocol.config
     rng = np.random.default_rng(np.random.SeedSequence(protocol.seed, spawn_key=(trial,)))
     perm = rng.permutation(len(data))
     cal, test = perm[: protocol.n_cal], perm[protocol.n_cal :]
 
-    result = _walk(fdp_by_size[cal[:, None], sizes[cal, 1:]], grid, config)
-    col = sum(entry.rejected for entry in result.trace)  # lambda_hat's column; 0 is 1.0
+    result, col = _walk(table, cal, config)
+    fdp_by_size, sizes = table
     counts = sizes[test, col].astype(int)
     losses = fdp_by_size[test, counts]
+    set_sizes, ratios, n_modified, n_zero = counts, [], 0, 0
     cap = config.max_items  # None exactly for the plain family, whose sets are never pruned
-    set_sizes = counts if cap is None else np.minimum(counts, cap)
-    modified = [] if cap is None else [data[j] for j in test[counts > cap]]
-    _, ratios, n_modified, n_zero = _threshold_and_prune(modified, result.lambda_hat, cap)
+    if cap is not None:
+        set_sizes = np.minimum(counts, cap)
+        modified = [data[j] for j in test[counts > cap]]
+        ratios, n_modified, n_zero = _diversity_ratios(modified, result.lambda_hat, cap)
 
     sampled = int(set_sizes[rng.integers(len(test))]) if protocol.single_size_sample else None
     return TrialRecord(
@@ -236,7 +234,7 @@ def run_trials(data: Sequence[LabeledQuery], protocol: TrialProtocol) -> EvalRep
 
 
 def _run_trials(data: Sequence[LabeledQuery], protocol: TrialProtocol, table) -> EvalReport:
-    records = [_run_one_trial(data, protocol, t, *table) for t in range(protocol.trials)]
+    records = [_run_one_trial(data, protocol, t, table) for t in range(protocol.trials)]
 
     risks = np.array([r.test_fdr for r in records])
     if protocol.single_size_sample:
@@ -331,7 +329,9 @@ def relative_diversity_improvement(
     modified query contributes the ratio of pruned to unpruned diversity.
     Zero-diversity denominators are excluded from the mean and counted.
     """
-    _, ratios, n_modified, n_zero = _threshold_and_prune(queries, lambda_hat, m_cap)
+    if m_cap < 1:
+        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
+    ratios, n_modified, n_zero = _diversity_ratios(queries, lambda_hat, m_cap)
     return DiversityStats(
         mean_ratio=float(np.mean(ratios)) if ratios else None,
         fraction_modified=n_modified / len(queries) if queries else 0.0,

@@ -23,13 +23,11 @@ from .core import LabeledQuery, PredictionSet, Ranking
 __all__ = [
     "MRule",
     "derive_m",
-    "top_m_items",
     "fdp",
     "empirical_fdr",
     "hoeffding_ucb",
     "register_bound",
     "get_bound",
-    "available_bounds",
 ]
 
 # Guards ceil() against float products like 0.55 * 20 landing one ulp above
@@ -74,13 +72,6 @@ def derive_m(k: int, rule: MRule) -> int:
     if rule.kind == "fraction":
         return max(1, math.ceil(rule.value * k - _CEIL_EPS))
     return min(int(rule.value), k)
-
-
-def top_m_items(ranking: Ranking, m: int) -> PredictionSet:
-    """The m most relevant items: ``{j : rank(j) <= m}``. Always has size m."""
-    if not 1 <= m <= ranking.k:
-        raise ValueError(f"m={m} out of range [1, {ranking.k}]")
-    return PredictionSet((np.nonzero(ranking.ranks <= m)[0] + 1).tolist())
 
 
 def fdp(pred: PredictionSet, ranking: Ranking, m: int) -> float:
@@ -160,6 +151,3 @@ def get_bound(name: str) -> BoundFn:
     except KeyError:
         raise ValueError(f"unknown bound {name!r}; registered: {sorted(_BOUNDS)}") from None
 
-
-def available_bounds() -> list[str]:
-    return sorted(_BOUNDS)

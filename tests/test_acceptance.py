@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import rankcal as rc
-from rankcal.calibrate import _loss_matrix, lambda_grid, plain_family, diverse_family
+from rankcal.calibrate import _loss_table, lambda_grid, plain_family, diverse_family
 
 SYNTH_BASE = dict(k_min=3, k_max=8, noise=0.6, temperature=1.0, utility_scale=1.0)
 
@@ -93,18 +93,23 @@ def validity_harness(config, embedding_dim, pool_seed, draw_seed_base, n_draws=2
     Monte Carlo, on a large fresh pool; each draw then calibrates on its own
     fresh sample and looks its selected threshold up in that table.
     """
-    grid = np.append(lambda_grid(config.d_lambda), 1.0)
+    def loss_matrix(data):
+        # per-query FDP at every threshold column [1.0, *grid] of the loss table
+        fdp_by_size, sizes = _loss_table(data, config)
+        return np.take_along_axis(fdp_by_size, sizes, axis=1)
+
+    grid = np.append(1.0, lambda_grid(config.d_lambda))
     pool = rc.generate_synthetic(
         rc.SyntheticSpec(seed=pool_seed, n_queries=n_pool,
                          embedding_dim=embedding_dim, **SYNTH_BASE)
     )
-    table = _loss_matrix(pool, config, grid).mean(axis=0)
+    table = loss_matrix(pool).mean(axis=0)
 
     # honesty check: the reduction must agree with the public reference path
     family = plain_family if config.family == "plain" else diverse_family(config.max_items)
     sample = pool[:400]
-    sample_table = _loss_matrix(sample, config, grid)
-    for col in (0, 49, 90):
+    sample_table = loss_matrix(sample)
+    for col in (1, 50, 91):  # thresholds 0.99, 0.50, 0.09
         ref = rc.empirical_fdr(float(grid[col]), sample, config.m_rule, family)
         assert sample_table[:, col].mean() == pytest.approx(ref, abs=1e-12)
 

@@ -252,6 +252,62 @@ class TestPredictCommand:
                      "--lambda", lam, "--manifest",
                      str(out / "calibrate.manifest.json")]) == 2
 
+    @pytest.mark.parametrize("flags, named", [
+        ([], "family='diverse', but the flags give family='plain'"),
+        (["--diverse", "--max-items", "3"], "max_items=2, but the flags give max_items=3"),
+        (["--diverse", "--max-items", "2", "--m-abs", "1"], "m_rule="),
+    ])
+    def test_manifest_contract_mismatch_exits_2(self, dataset_paths, tmp_path, capsys,
+                                                flags, named):
+        paths, _ = dataset_paths
+        data = [arg for kind, path in paths.items() for arg in (f"--{kind}", str(path))]
+        out = tmp_path / "cal"
+        assert main(["calibrate", *data, "--diverse", "--max-items", "2",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = str(out / "calibrate.manifest.json")
+        assert main(["predict", *data, *flags, "--manifest", manifest]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named in captured.err
+
+    def test_manifest_with_matching_flags_predicts(self, dataset_paths, tmp_path, capsys):
+        paths, queries = dataset_paths
+        data = [arg for kind, path in paths.items() for arg in (f"--{kind}", str(path))]
+        out = tmp_path / "cal"
+        assert main(["calibrate", *data, "--diverse", "--max-items", "2",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "calibrate.manifest.json").read_text())
+        # alpha, delta and dlambda do not enter prediction, so they need not match
+        assert main(["predict", *data, "--diverse", "--max-items", "2", "--alpha", "0.2",
+                     "--delta", "0.05", "--dlambda", "0.02",
+                     "--manifest", str(out / "calibrate.manifest.json")]) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.strip().splitlines()))
+        config = CalibrationConfig(alpha=0.3, delta=0.1, family="diverse", max_items=2)
+        assert len(rows) == len(queries)
+        for row, q in zip(rows, queries):
+            want = predict(q, manifest["lambda_hat"], config)
+            assert row["items"] == " ".join(str(i) for i in want.items)
+            assert int(row["size"]) <= 2
+
+    @pytest.mark.parametrize("content", [
+        "[]",
+        '{"config": {}}',
+        '{"lambda_hat": 0.5}',
+        '{"lambda_hat": "0.5", "config": {}}',
+        "not json",
+    ])
+    def test_malformed_manifest_exits_3(self, dataset_paths, tmp_path, capsys, content):
+        paths, _ = dataset_paths
+        bad = tmp_path / "bad.manifest.json"
+        bad.write_text(content)
+        assert main(["predict", "--scores", str(paths["scores"]),
+                     "--manifest", str(bad)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(bad) in captured.err
+
 
 class TestEvaluateAndSweep:
     def test_evaluate_writes_reports(self, dataset_paths, tmp_path):

@@ -44,26 +44,6 @@ class TestPairwiseScores:
         with pytest.raises(ValueError):
             PairwiseScores(np.array([[0.0, np.nan], [0.3, 0.0]]))
 
-    def test_complementary_check_flag(self):
-        good = np.array([[0.0, 0.7], [0.3, 0.0]])
-        PairwiseScores(good, check_complementary=True)
-        bad = np.array([[0.0, 0.7], [0.4, 0.0]])
-        with pytest.raises(ValueError, match="expected 1"):
-            PairwiseScores(bad, check_complementary=True)
-        PairwiseScores(bad)  # fine without the flag
-
-    def test_symmetrized_normalizes(self):
-        raw = PairwiseScores(np.array([[0.0, 0.6], [0.2, 0.0]]))
-        sym = raw.symmetrized()
-        assert sym.probs[0, 1] == pytest.approx(0.6 / 0.8)
-        assert sym.probs[1, 0] == pytest.approx(0.2 / 0.8)
-        assert sym.probs[0, 1] + sym.probs[1, 0] == pytest.approx(1.0, abs=1e-12)
-
-    def test_symmetrized_zero_pair_is_uninformative(self):
-        sym = PairwiseScores(np.array([[0.0, 0.0], [0.0, 0.0]])).symmetrized()
-        assert sym.probs[0, 1] == 0.5
-        assert sym.probs[1, 0] == 0.5
-
     def test_immutable(self):
         p = PairwiseScores(np.array([[0.0, 0.5], [0.5, 0.0]]))
         with pytest.raises(ValueError):

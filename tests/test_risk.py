@@ -8,7 +8,6 @@ from rankcal import (
     MRule,
     PredictionSet,
     Ranking,
-    available_bounds,
     derive_m,
     empirical_fdr,
     fdp,
@@ -17,7 +16,6 @@ from rankcal import (
     item_scores,
     register_bound,
     threshold_set,
-    top_m_items,
 )
 from rankcal.calibrate import plain_family
 
@@ -65,27 +63,6 @@ class TestDeriveM:
             derive_m(0, MRule.fraction(0.2))
 
 
-class TestTopMItems:
-    def test_examples(self):
-        assert top_m_items(Ranking(np.array([2, 1, 3, 4])), 2).items == (1, 2)
-        assert top_m_items(Ranking(np.array([1, 2, 3])), 3).items == (1, 2, 3)
-        assert top_m_items(Ranking(np.array([3, 1, 2])), 1).items == (2,)
-
-    def test_m_out_of_range(self):
-        r = Ranking(np.array([1, 2]))
-        with pytest.raises(ValueError):
-            top_m_items(r, 0)
-        with pytest.raises(ValueError):
-            top_m_items(r, 3)
-
-    @given(st.integers(min_value=1, max_value=15), st.integers(min_value=0, max_value=2**31))
-    def test_size_is_exactly_m(self, k, seed):
-        rng = np.random.default_rng(seed)
-        ranking = Ranking(rng.permutation(k) + 1)
-        m = int(rng.integers(1, k + 1))
-        assert len(top_m_items(ranking, m)) == m
-
-
 class TestFdp:
     def test_examples(self):
         y = Ranking(np.array([2, 1, 3, 4]))
@@ -111,7 +88,8 @@ class TestFdp:
         loss = fdp(pred, ranking, m)
         assert 0.0 <= loss <= 1.0
         if len(pred):
-            in_top = len(set(pred.items) & set(top_m_items(ranking, m).items))
+            top_m = {j + 1 for j in range(k) if ranking.ranks[j] <= m}
+            in_top = len(set(pred.items) & top_m)
             assert loss + in_top / len(pred) == pytest.approx(1.0, abs=1e-12)
 
     def test_listing_order_irrelevant(self):
@@ -222,7 +200,6 @@ class TestHoeffdingUcb:
 
 class TestBoundRegistry:
     def test_hoeffding_ships(self):
-        assert "hoeffding" in available_bounds()
         losses = np.array([0.0, 0.5])
         assert get_bound("hoeffding")(losses, 0.1) == pytest.approx(
             hoeffding_ucb(0.25, 2, 0.1)
