@@ -6,8 +6,11 @@ stdout (or files under ``--out``); diagnostics go to stderr. A JSON manifest
 recording the resolved configuration, seeds, and input digests accompanies
 every artifact so any report can be traced to what produced it.
 
-Exit codes: 0 success, 2 argument errors, 3 parse/schema errors on input
-files, 4 guarantee-impossible configuration under ``--strict-guarantee``.
+Exit codes: 0 success; 2 argument errors, and any other OS error such as an
+``--out`` that cannot be created; 3 an input file (``--scores``,
+``--rankings``, ``--embeddings``, ``--manifest``) that is missing, unreadable
+or fails to parse; 4 guarantee-impossible configuration under
+``--strict-guarantee``.
 """
 
 from __future__ import annotations
@@ -268,7 +271,10 @@ def _cmd_evaluate(args) -> int:
     write_trials_csv(out_dir / "trials.csv", report.records, manifest=manifest_name)
     write_strata_csv(out_dir / "strata.csv", report.strata, manifest=manifest_name)
     write_report_json(out_dir / "report.json", report, manifest=manifest_name)
+    exceeding = sum(r.test_fdr > config.alpha for r in report.records)
     print(f"mean_test_fdr={report.mean_test_fdr!r}", file=sys.stderr)
+    print(f"exceeding_alpha={exceeding}/{protocol.trials} (delta={config.delta})",
+          file=sys.stderr)
     print(f"wrote {out_dir / 'trials.csv'}, {out_dir / 'strata.csv'}, "
           f"{out_dir / 'report.json'}", file=sys.stderr)
     return EXIT_OK
@@ -406,7 +412,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # A missing or unreadable input file is an input error; anything else is usage.
+        inputs = [vars(args).get(f) for f in ("scores", "rankings", "embeddings", "manifest")]
+        return EXIT_PARSE if exc.filename is not None and exc.filename in inputs else EXIT_USAGE
 
 
 def entrypoint() -> None:

@@ -107,6 +107,26 @@ class TestCalibrateCommand:
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
+    @pytest.mark.parametrize("command", ["calibrate", "predict"])
+    def test_missing_input_file_exits_3(self, dataset_paths, tmp_path, capsys, command):
+        paths, _ = dataset_paths
+        missing = str(tmp_path / "missing.txt")
+        if command == "calibrate":
+            args = ["calibrate", "--scores", missing, "--rankings", str(paths["rankings"])]
+        else:
+            args = ["predict", "--scores", str(paths["scores"]), "--manifest", missing]
+        assert main(args + ["--out", str(tmp_path / "o")]) == 3
+        assert missing in capsys.readouterr().err
+
+    def test_uncreatable_out_dir_exits_2(self, dataset_paths, tmp_path, capsys):
+        paths, _ = dataset_paths
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["calibrate", "--scores", str(paths["scores"]),
+                     "--rankings", str(paths["rankings"]),
+                     "--out", str(blocker / "o")]) == 2
+        assert str(blocker) in capsys.readouterr().err
+
     def test_strict_guarantee_exits_4(self, tmp_path, capsys):
         queries = generate_synthetic(
             SyntheticSpec(seed=1, n_queries=2, k_min=2, k_max=3, embedding_dim=None)
@@ -335,6 +355,19 @@ class TestEvaluateAndSweep:
         report = json.loads((out / "report.json").read_text())
         assert len(report["trials"]) == 3
         assert report["manifest"] == "evaluate.manifest.json"
+
+    def test_evaluate_reports_trials_exceeding_alpha(self, dataset_paths, tmp_path, capsys):
+        paths, _ = dataset_paths
+        out = tmp_path / "ev"
+        assert main(["evaluate", "--scores", str(paths["scores"]),
+                     "--rankings", str(paths["rankings"]), "--alpha", "0.5", "--delta", "0.3",
+                     "--trials", "6", "--ncal", "60", "--seed", "3", "--out", str(out)]) == 0
+        _, trials = read_csv(out / "trials.csv")
+        exceeding = sum(float(t["test_fdr"]) > 0.5 for t in trials)
+        assert 0 < exceeding < 6  # both sides of alpha occur, so the count is tested
+        err = capsys.readouterr().err.splitlines()
+        line = err.index(f"exceeding_alpha={exceeding}/6 (delta=0.3)")
+        assert err[line - 1].startswith("mean_test_fdr=")
 
     def test_sweep_table(self, dataset_paths, tmp_path):
         paths, _ = dataset_paths

@@ -15,7 +15,9 @@ from rankcal import (
     TrialRecord,
     calibrate,
     diverse_family,
+    diversity,
     generate_synthetic,
+    greedy_prune,
     item_scores,
     lambda_grid,
     plain_family,
@@ -148,7 +150,19 @@ def reference_record(data, protocol, trial):
     sets = [family(q, lam) for q in test]
     sizes = np.array([len(s) for s in sets], dtype=int)
     fdps = np.array([fdp(s, q.ranking, derive_m(q.k, config.m_rule)) for q, s in zip(test, sets)])
-    stats = [relative_diversity_improvement([q], lam, cap) for q in test] if cap else []
+    # A modified set exceeds the cap before pruning; a zero-diversity one is counted, not averaged.
+    ratios, n_modified, n_zero = [], 0, 0
+    for q in test:
+        base = plain_family(q, lam)
+        if cap is None or len(base) <= cap:
+            continue
+        n_modified += 1
+        before = diversity(base, q.embeddings, cap)
+        if before == 0.0:
+            n_zero += 1
+        else:
+            ratios.append(diversity(greedy_prune(base, q.embeddings, cap), q.embeddings, cap)
+                          / before)
     return TrialRecord(
         trial=trial,
         lambda_hat=lam,
@@ -159,9 +173,9 @@ def reference_record(data, protocol, trial):
                           if protocol.single_size_sample else None),
         set_sizes=sizes,
         fdps=fdps,
-        diversity_ratios=np.array([s.mean_ratio for s in stats if s.mean_ratio is not None]),
-        n_modified=sum(s.n_modified for s in stats),
-        n_zero_denominator=sum(s.n_zero_denominator for s in stats),
+        diversity_ratios=np.array(ratios),
+        n_modified=n_modified,
+        n_zero_denominator=n_zero,
     )
 
 
@@ -169,6 +183,13 @@ def quantised(data, step=20):
     """The same queries with every probability rounded to a multiple of 1/step."""
     return [LabeledQuery(q.query_id, PairwiseScores(np.round(q.scores.probs * step) / step),
                          q.ranking, q.embeddings) for q in data]
+
+
+def collapsed(data, every=3):
+    """The same queries with every ``every``-th one's embeddings at one point (zero diversity)."""
+    return [LabeledQuery(q.query_id, q.scores, q.ranking,
+                         np.zeros_like(q.embeddings) if i % every == 0 else q.embeddings)
+            for i, q in enumerate(data)]
 
 
 def synthetic(k_min, k_max, n=90, seed=21):
@@ -206,6 +227,9 @@ EQUIVALENCE_CASES = {
                         lambda data, report: all(r.lambda_hat == 1.0 for r in report.records)),
     "empty-grid": (synthetic(2, 7), dict(alpha=0.4, d_lambda=0.6, **DIVERSE), {},
                    lambda data, report: lambda_grid(0.6).size == 0 and not modified(report)),
+    "zero-diversity": (collapsed(synthetic(2, 7)), dict(alpha=0.45, **DIVERSE), {},
+                       lambda data, report: all(r.n_zero_denominator and r.diversity_ratios.size
+                                                for r in report.records)),
     "single-size-sample": (synthetic(2, 7), dict(alpha=0.45, **DIVERSE),
                            dict(single_size_sample=True),
                            lambda data, report: modified(report)),
