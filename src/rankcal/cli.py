@@ -30,6 +30,7 @@ from .data import (
     ParseError,
     SchemaError,
     SyntheticSpec,
+    _join_by_id,
     generate_synthetic,
     load_dataset,
     read_embeddings,
@@ -218,14 +219,12 @@ def _cmd_predict(args) -> int:
             loss = fdp(pred, q.ranking, derive_m(q.k, config.m_rule))
             rows.append((q.query_id, pred, repr(loss)))
     else:
-        # No labels: predict on the bare scores; FDP is not reported. A missing
-        # or misshapen embeddings block is a schema error, as in assemble_queries.
-        emb = dict(read_embeddings(args.embeddings)) if args.embeddings else None
-        for qid, scores in read_scores(args.scores):
-            if emb is not None and qid not in emb:
-                raise SchemaError(f"query {qid!r} has scores but no embeddings")
+        # No labels, so no FDP: predict on the bare scores, joined by id as in assemble_queries.
+        emb = read_embeddings(args.embeddings) if args.embeddings else None
+        for qid, scores, embeddings in _join_by_id(scores=read_scores(args.scores),
+                                                   embeddings=emb):
             try:
-                pred = predict(scores, lam, config, embeddings=None if emb is None else emb[qid])
+                pred = predict(scores, lam, config, embeddings=embeddings)
             except ValueError as exc:
                 raise SchemaError(f"query {qid!r}: {exc}") from None
             rows.append((qid, pred, None))

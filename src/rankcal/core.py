@@ -73,7 +73,10 @@ class Ranking:
     ranks: np.ndarray
 
     def __post_init__(self):
-        ranks = np.array(self.ranks, dtype=int)
+        given = self.ranks
+        ranks = np.array(given, dtype=int)
+        if getattr(given, "dtype", None) != ranks.dtype and not np.array_equal(ranks, given):
+            raise ValueError(f"ranks {np.asarray(given).tolist()} are not all integers")
         if ranks.ndim != 1 or ranks.size < 1:
             raise ValueError("ranks must be a nonempty 1-D integer array")
         if not np.array_equal(np.sort(ranks), np.arange(1, ranks.size + 1)):

@@ -10,6 +10,8 @@ layout (one block per query):
                permutation of 1..K
 * embeddings:  ``query <id> k <K> d <d>`` then K rows of d floats
 
+Each file lists a query id once: a repeated id is a :class:`SchemaError`.
+
 Ranking datasets in the common sparse-feature line format
 (``<rel> qid:<id> <idx>:<val> ... [# comment]``) are parsed into
 :class:`RawQuery` records; ground-truth rankings are derived from graded
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, TextIO, Union
 
@@ -290,142 +293,116 @@ def _text_stream(target, mode: str):
         yield target
 
 
-class _BlockReader:
-    def __init__(self, f: TextIO):
-        self.lines = f.read().split("\n")
-        self.pos = 0
+def _read_blocks(source, shape: tuple, build, dtype=float) -> list[tuple[str, object]]:
+    """Each block of ``source`` as ``(query id, build(block))``, in file order.
 
-    def _next_tokens(self) -> Optional[tuple[int, list[str]]]:
-        while self.pos < len(self.lines):
-            no = self.pos + 1
-            tokens = self.lines[self.pos].split()
-            self.pos += 1
-            if tokens:
-                return no, tokens
-        return None
-
-    def blocks(self, header_keys: tuple[str, ...], rows_per_block=None):
-        """Yield (query_id, header values dict, data rows) per block.
-
-        A block has ``rows_per_block(header values)`` data rows, default k.
-        """
-        if rows_per_block is None:
-            rows_per_block = lambda values: values["k"]
-        item = self._next_tokens()
-        while item is not None:
-            no, tokens = item
-            if tokens[0] != "query" or len(tokens) != 2 + 2 * len(header_keys):
-                raise SchemaError(
-                    f"line {no}: expected header 'query <id> "
-                    + " ".join(f"{k} <{k}>" for k in header_keys)
-                    + f"', got {' '.join(tokens)!r}"
-                )
-            qid = tokens[1]
-            values: dict[str, int] = {}
-            for slot, key in enumerate(header_keys):
-                name, raw = tokens[2 + 2 * slot], tokens[3 + 2 * slot]
-                if name != key:
-                    raise SchemaError(f"line {no}: expected field {key!r}, got {name!r}")
-                try:
-                    values[key] = int(raw)
-                except ValueError:
-                    raise SchemaError(f"line {no}: field {key!r} value {raw!r} not an integer")
-                if values[key] < 1:
-                    raise SchemaError(f"line {no}: field {key!r} must be >= 1, got {values[key]}")
-            n_rows = rows_per_block(values)
-            rows = []
-            for _ in range(n_rows):
-                item = self._next_tokens()
-                if item is None or item[1][0] == "query":
-                    raise SchemaError(
-                        f"query {qid!r}: header declares k={values['k']} but only "
-                        f"{len(rows)} of {n_rows} data rows follow"
-                    )
-                rows.append(item)
-            yield qid, values, rows
-            item = self._next_tokens()
+    ``shape`` gives a block's (rows, columns), each a header field name or a
+    number; the header lists the named fields in order. ``block`` is one
+    ``dtype`` array of that shape. Every error names the query id and line.
+    """
+    with _text_stream(source, "r") as f:
+        text = f.read().split("\n")
+    # Tokens are split one line at a time, so a file's tokens are never all held at once.
+    lines = ((no, t) for no, t in enumerate(map(str.split, text), 1) if t)
+    fields = tuple(dict.fromkeys(s for s in shape if isinstance(s, str)))
+    out = []
+    for no, tokens in lines:
+        if tokens[0] != "query" or len(tokens) != 2 + 2 * len(fields):
+            raise SchemaError(
+                f"line {no}: expected header 'query <id> "
+                + " ".join(f"{k} <{k}>" for k in fields) + f"', got {' '.join(tokens)!r}"
+            )
+        qid, header = tokens[1], {}
+        where = f"query {qid!r}, line {no}"
+        for key, name, raw in zip(fields, tokens[2::2], tokens[3::2]):
+            if name != key:
+                raise SchemaError(f"{where}: expected field {key!r}, got {name!r}")
+            try:
+                header[key] = int(raw)
+            except ValueError:
+                raise SchemaError(f"{where}: field {key!r} value {raw!r} not an integer") from None
+            if header[key] < 1:
+                raise SchemaError(f"{where}: field {key!r} must be >= 1, got {header[key]}")
+        n_rows, width = (header.get(s, s) for s in shape)
+        rows = list(islice(lines, n_rows))
+        found = next((i for i, (_, t) in enumerate(rows) if t[0] == "query"), len(rows))
+        if found < n_rows:
+            raise SchemaError(f"{where}: header needs {n_rows} data rows, only {found} follow")
+        flat = []
+        for no, tokens in rows:
+            where = f"query {qid!r}, line {no}"
+            if len(tokens) != width:
+                raise SchemaError(f"{where}: expected {width} values, got {len(tokens)}")
+            try:
+                flat += map(dtype, tokens)
+            except ValueError:
+                raise SchemaError(f"{where}: non-numeric or non-{dtype.__name__} value") from None
+        try:
+            out.append((qid, build(np.array(flat, dtype=dtype).reshape(n_rows, width))))
+        except (ValueError, OverflowError) as exc:
+            raise SchemaError(f"query {qid!r}, line {rows[0][0]}: {exc}") from None
+    return out
 
 
-def _parse_float_row(qid: str, row, width: int) -> np.ndarray:
-    no, tokens = row
-    if len(tokens) != width:
-        raise SchemaError(f"query {qid!r}, line {no}: expected {width} values, got {len(tokens)}")
-    try:
-        return np.array([float(t) for t in tokens])
-    except ValueError:
-        raise SchemaError(f"query {qid!r}, line {no}: non-numeric value") from None
+def _write_blocks(target, shape: tuple, pairs: Iterable[tuple[str, np.ndarray]]) -> None:
+    """Write ``(query id, 2-D array)`` pairs as the blocks :func:`_read_blocks` reads.
+
+    The header's fields are read off the array's shape; values are written as
+    ``repr`` of the Python numbers, so floats round-trip exactly.
+    """
+    with _text_stream(target, "w") as f:
+        for qid, block in pairs:
+            dims = {s: n for s, n in zip(shape, block.shape) if isinstance(s, str)}
+            f.write(f"query {qid} " + " ".join(f"{k} {n}" for k, n in dims.items()) + "\n")
+            f.writelines(" ".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
 def read_scores(source) -> list[tuple[str, PairwiseScores]]:
-    with _text_stream(source, "r") as f:
-        out = []
-        for qid, header, rows in _BlockReader(f).blocks(("k",)):
-            probs = np.vstack([_parse_float_row(qid, row, header["k"]) for row in rows])
-            try:
-                out.append((qid, PairwiseScores(probs)))
-            except ValueError as exc:
-                raise SchemaError(f"query {qid!r}: {exc}") from None
-        return out
+    return _read_blocks(source, ("k", "k"), PairwiseScores)
 
 
 def write_scores(target, pairs: Iterable[tuple[str, PairwiseScores]]) -> None:
-    with _text_stream(target, "w") as f:
-        for qid, scores in pairs:
-            k = scores.k
-            f.write(f"query {qid} k {k}\n")
-            probs = scores.probs.copy()
-            np.fill_diagonal(probs, 0.0)
-            for row in probs:
-                f.write(" ".join(repr(float(v)) for v in row) + "\n")
+    _write_blocks(target, ("k", "k"), (
+        (qid, np.where(np.eye(s.k, dtype=bool), 0.0, s.probs)) for qid, s in pairs))
 
 
 def read_rankings(source) -> list[tuple[str, Ranking]]:
-    with _text_stream(source, "r") as f:
-        out = []
-        for qid, header, rows in _BlockReader(f).blocks(("k",), rows_per_block=lambda v: 1):
-            k = header["k"]
-            no, tokens = rows[0]
-            if len(tokens) != k:
-                raise SchemaError(
-                    f"query {qid!r}, line {no}: expected {k} ranks, got {len(tokens)}"
-                )
-            try:
-                ranks = [int(t) for t in tokens]
-            except ValueError:
-                raise SchemaError(f"query {qid!r}, line {no}: non-integer rank") from None
-            try:
-                out.append((qid, Ranking(np.array(ranks))))
-            except ValueError as exc:
-                raise SchemaError(f"query {qid!r}, line {no}: {exc}") from None
-        return out
+    return _read_blocks(source, (1, "k"), lambda block: Ranking(block[0]), dtype=int)
 
 
 def write_rankings(target, pairs: Iterable[tuple[str, Ranking]]) -> None:
-    with _text_stream(target, "w") as f:
-        for qid, ranking in pairs:
-            f.write(f"query {qid} k {ranking.k}\n")
-            f.write(" ".join(str(int(r)) for r in ranking.ranks) + "\n")
+    _write_blocks(target, (1, "k"), ((qid, r.ranks[None]) for qid, r in pairs))
 
 
 def read_embeddings(source) -> list[tuple[str, np.ndarray]]:
-    with _text_stream(source, "r") as f:
-        out = []
-        for qid, header, rows in _BlockReader(f).blocks(("k", "d")):
-            mat = np.vstack([_parse_float_row(qid, row, header["d"]) for row in rows])
-            try:
-                out.append((qid, _checked_embeddings(mat)))
-            except ValueError as exc:
-                raise SchemaError(f"query {qid!r}: {exc}") from None
-        return out
+    return _read_blocks(source, ("k", "d"), _checked_embeddings)
 
 
 def write_embeddings(target, pairs: Iterable[tuple[str, np.ndarray]]) -> None:
-    with _text_stream(target, "w") as f:
-        for qid, mat in pairs:
-            mat = np.asarray(mat, dtype=float)
-            f.write(f"query {qid} k {mat.shape[0]} d {mat.shape[1]}\n")
-            for row in mat:
-                f.write(" ".join(repr(float(v)) for v in row) + "\n")
+    _write_blocks(target, ("k", "d"), ((qid, np.asarray(m, dtype=float)) for qid, m in pairs))
+
+
+def _join_by_id(**files) -> list[tuple]:
+    """Rows ``(query id, record from each file)``, joined by id in the first file's order.
+
+    Each file lists a query id at most once, and every id of the first file must
+    appear in each other file; a file passed as None gives None in every row.
+    """
+    tables = {}
+    for name, pairs in files.items():
+        table = tables[name] = {}
+        for qid, record in pairs or ():
+            if qid in table:
+                raise SchemaError(f"duplicate query id {qid!r} in {name}")
+            table[qid] = record
+    first, *others = files
+    rows = []
+    for qid in tables[first]:
+        missing = [name for name in others if files[name] is not None and qid not in tables[name]]
+        if missing:
+            raise SchemaError(f"query {qid!r} has {first} but no {missing[0]}")
+        rows.append((qid, *(tables[name].get(qid) for name in files)))
+    return rows
 
 
 def assemble_queries(
@@ -435,28 +412,15 @@ def assemble_queries(
 ) -> list[LabeledQuery]:
     """Join per-file records into labeled queries, keyed by query id.
 
-    Order follows the scores file. Every scored query must have a ranking
-    (and embeddings, when an embeddings file is given) with a matching id.
+    Order follows the scores file. Each file lists a query id once, and every
+    scored query must have a ranking (and embeddings, when an embeddings file
+    is given) with a matching id.
     """
-    rankings = dict(ranking_pairs)
-    if len(rankings) != len(ranking_pairs):
-        raise SchemaError("duplicate query ids in rankings")
-    embeddings = dict(embedding_pairs) if embedding_pairs is not None else None
     out = []
-    seen = set()
-    for qid, scores in score_pairs:
-        if qid in seen:
-            raise SchemaError(f"duplicate query id {qid!r} in scores")
-        seen.add(qid)
-        if qid not in rankings:
-            raise SchemaError(f"query {qid!r} has scores but no ranking")
-        emb = None
-        if embeddings is not None:
-            if qid not in embeddings:
-                raise SchemaError(f"query {qid!r} has scores but no embeddings")
-            emb = embeddings[qid]
+    joined = _join_by_id(scores=score_pairs, rankings=ranking_pairs, embeddings=embedding_pairs)
+    for qid, scores, ranking, emb in joined:
         try:
-            out.append(LabeledQuery(qid, scores, rankings[qid], embeddings=emb))
+            out.append(LabeledQuery(qid, scores, ranking, embeddings=emb))
         except ValueError as exc:
             raise SchemaError(str(exc)) from None
     return out

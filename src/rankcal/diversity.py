@@ -40,7 +40,12 @@ def diversity(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> float:
     """
     if m_cap < 1:
         raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    pts = _checked_for(pred, embeddings)[pred.as_array() - 1]
+    return _diversity(pred, _checked_for(pred, embeddings), m_cap)
+
+
+def _diversity(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> float:
+    """:func:`diversity` on trusted input, as :func:`_greedy_prune` is to :func:`greedy_prune`."""
+    pts = embeddings[pred.as_array() - 1]
     n = pts.shape[0]
     if n <= 1:
         return 0.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from .calibrate import CalibrationConfig, _loss_table, _walk
 from .core import LabeledQuery, PredictionSet, item_scores, threshold_set
-from .diversity import _greedy_prune, diversity
+from .diversity import _diversity, _greedy_prune
 from .risk import MRule, derive_m, fdp
 
 __all__ = [
@@ -170,12 +170,12 @@ def _diversity_ratios(
         if len(base) <= m_cap:
             continue
         n_modified += 1
-        before = diversity(base, q.embeddings, m_cap)
+        before = _diversity(base, q.embeddings, m_cap)  # checked when q was built
         if before == 0.0:
             n_zero += 1
         else:
-            pruned = _greedy_prune(base, q.embeddings, m_cap)  # checked when q was built
-            ratios.append(diversity(pruned, q.embeddings, m_cap) / before)
+            pruned = _greedy_prune(base, q.embeddings, m_cap)
+            ratios.append(_diversity(pruned, q.embeddings, m_cap) / before)
     return ratios, n_modified, n_zero
 
 

@@ -7,6 +7,7 @@ from rankcal import (
     MRule,
     PairwiseScores,
     Ranking,
+    TrialProtocol,
     calibrate,
     diverse_family,
     empirical_fdr,
@@ -15,6 +16,7 @@ from rankcal import (
     lambda_grid,
     plain_family,
     predict,
+    run_trials,
 )
 from conftest import random_dataset
 
@@ -224,9 +226,13 @@ class TestCalibrate:
                 monkeypatch.setattr(module, "_checked_embeddings", counting)
         result = calibrate(data, config)
         sets = [predict(q, 0.0, config) for q in data]
+        # at alpha 0.6 some test sets exceed the cap, so the trials compute diversity ratios
+        loose = CalibrationConfig(alpha=0.6, delta=0.3, family="diverse", max_items=2)
+        report = run_trials(data, TrialProtocol(n_cal=20, config=loose, trials=3, seed=1))
         assert calls == []
         assert any(q.k > 2 for q in data) and all(len(s) <= 2 for s in sets)
         assert result.trace
+        assert report.diversity.n_modified
 
     def test_diverse_calibration_scores_pruned_sets(self):
         # The selection must be driven by the pruned sets' losses, not the

@@ -253,6 +253,30 @@ class TestPredictCommand:
         assert main(args) == 3
         assert "'q1'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("file,labeled", [
+        ("scores", True), ("rankings", True), ("embeddings", True),
+        ("scores", False), ("embeddings", False),
+    ], ids=["scores", "rankings", "embeddings", "scores-bare", "embeddings-bare"])
+    def test_repeated_query_id_exits_3(self, tmp_path, capsys, file, labeled):
+        blocks = {
+            "scores": ["query q1 k 2\n0 0.6\n0.4 0\n", "query q2 k 2\n0 0.3\n0.7 0\n"],
+            "rankings": ["query q1 k 2\n1 2\n", "query q2 k 2\n2 1\n"],
+            "embeddings": ["query q1 k 2 d 1\n0.0\n1.0\n", "query q2 k 2 d 1\n5.0\n9.0\n"],
+        }
+        # q1 repeated with q2's block: whichever copy won, the run would look valid
+        blocks[file].append(blocks[file][1].replace("q2", "q1"))
+        paths = {}
+        for name, text in blocks.items():
+            paths[name] = tmp_path / f"{name}.txt"
+            paths[name].write_text("".join(text))
+        args = ["predict", "--scores", str(paths["scores"]),
+                "--embeddings", str(paths["embeddings"]),
+                "--diverse", "--max-items", "1", "--lambda", "0.3"]
+        if labeled:
+            args += ["--rankings", str(paths["rankings"])]
+        assert main(args) == 3
+        assert f"duplicate query id 'q1' in {file}" in capsys.readouterr().err
+
     def test_lambda_out_of_range(self, dataset_paths, capsys):
         paths, _ = dataset_paths
         assert main(["predict", "--scores", str(paths["scores"]),

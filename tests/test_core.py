@@ -54,11 +54,12 @@ class TestRanking:
     def test_valid_permutation(self):
         r = Ranking(np.array([2, 1, 3]))
         assert r.k == 3
+        assert Ranking(np.array([2.0, 1.0])).ranks.tolist() == [2, 1]  # integral floats pass
 
-    @pytest.mark.parametrize("ranks", [[1, 1, 2], [0, 1, 2], [1, 2, 4], []])
+    @pytest.mark.parametrize("ranks", [[1, 1, 2], [0, 1, 2], [1, 2, 4], [], [1.5, 2.0]])
     def test_rejects_non_permutations(self, ranks):
         with pytest.raises(ValueError):
-            Ranking(np.array(ranks, dtype=int))
+            Ranking(np.array(ranks))
 
 
 class TestLabeledQuery:

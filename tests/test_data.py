@@ -243,6 +243,22 @@ class TestBlockFiles:
         for key in paths:
             assert paths[key].read_bytes() == paths2[key].read_bytes()
 
+    def test_single_item_blocks_and_one_dim_embeddings_round_trip(self, tmp_path):
+        data = generate_synthetic(
+            SyntheticSpec(seed=23, n_queries=12, k_min=1, k_max=3, embedding_dim=1)
+        )
+        assert {q.k for q in data} == {1, 2, 3}
+        paths = write_dataset(tmp_path / "a", data)
+        again = load_dataset(paths["scores"], paths["rankings"], paths["embeddings"])
+        assert again == data
+        paths2 = write_dataset(tmp_path / "b", again)
+        for key in paths:
+            assert paths[key].read_bytes() == paths2[key].read_bytes()
+        assert "query synth-23-" in paths["embeddings"].read_text()
+        assert all(len(line.split()) == 1
+                   for line in paths["embeddings"].read_text().splitlines()
+                   if not line.startswith("query"))
+
     def test_scores_diagonal_written_as_zero(self):
         data = self.make_dataset(n=1, with_embeddings=False)
         buf = io.StringIO()
@@ -278,6 +294,33 @@ class TestBlockFiles:
         with pytest.raises(SchemaError, match="permutation"):
             read_rankings(io.StringIO("query q1 k 3\n1 1 2\n"))
 
+    @pytest.mark.parametrize(
+        "reader,text,match",
+        [
+            (read_scores, "query q1 k 2\n0 0.5\n0.5 0\nquery q2 k 3\n0 0.5 0.5\n",
+             r"query 'q2', line 4: .*3 data rows, only 1 follow"),
+            (read_scores, "query q1 k 3\n0 0.5 0.5\n0.5 0 0.5\nquery q2 k 2\n0 1\n1 0\n",
+             r"query 'q1', line 1: .*3 data rows, only 2 follow"),
+            (read_rankings, "query q1 k 2\n1 2\nquery q2 k 3\n\n1 2\n",
+             r"query 'q2', line 5: expected 3 values, got 2"),
+            (read_embeddings, "query q1 k 2 d 2\n0 1\n\n2 3 4\n",
+             r"query 'q1', line 4: expected 2 values, got 3"),
+            (read_embeddings, "query q1 k 1 d 2\n0 1\nquery q2 k 2 d 2\n0 1\n2 y\n",
+             r"query 'q2', line 5: non-numeric"),
+            (read_embeddings, "query q1 k 1 d 0\n\n",
+             r"query 'q1', line 1: field 'd' must be >= 1, got 0"),
+            (read_rankings, "\nquery q1 k 2.0\n1 2\n",
+             r"query 'q1', line 2: field 'k' value '2.0' not an integer"),
+            (read_rankings, "query q k 2\n1.5 2\n", r"query 'q', line 2: non-numeric"),
+        ],
+        ids=["rows-missing-at-end", "rows-missing-before-header", "ranking-width",
+             "embedding-width", "embedding-non-numeric", "field-below-one",
+             "field-non-integer", "rank-non-integer"],
+    )
+    def test_errors_name_query_and_line(self, reader, text, match):
+        with pytest.raises(SchemaError, match=match):
+            reader(io.StringIO(text))
+
     def test_embeddings_header_and_values(self):
         good = "query q1 k 2 d 3\n0.0 1.0 2.0\n3.0 4.0 5.0\n"
         [(qid, mat)] = read_embeddings(io.StringIO(good))
@@ -297,6 +340,19 @@ class TestBlockFiles:
             assemble_queries(scores, rankings, embeddings[:-1])
         with pytest.raises(SchemaError, match="duplicate"):
             assemble_queries(scores + scores[:1], rankings, None)
+
+    @pytest.mark.parametrize("file", ["scores", "rankings", "embeddings"])
+    def test_assemble_rejects_a_repeated_id_in_any_file(self, file):
+        data = self.make_dataset()
+        pairs = {
+            "scores": [(q.query_id, q.scores) for q in data],
+            "rankings": [(q.query_id, q.ranking) for q in data],
+            "embeddings": [(q.query_id, q.embeddings) for q in data],
+        }
+        # the repeat carries another query's record, so neither copy can silently win
+        pairs[file].append((data[0].query_id, pairs[file][1][1]))
+        with pytest.raises(SchemaError, match=f"duplicate query id '{data[0].query_id}' in {file}"):
+            assemble_queries(pairs["scores"], pairs["rankings"], pairs["embeddings"])
 
     def test_write_dataset_rejects_partial_embeddings(self, tmp_path):
         mixed = self.make_dataset(2, with_embeddings=True)
