@@ -36,7 +36,6 @@ from .data import (
     parse_letor,
     ranking_from_relevance,
     write_dataset,
-    write_letor,
 )
 from .diversity import diversity, exhaustive_prune, greedy_prune
 from .evaluate import (
@@ -86,7 +85,6 @@ __all__ = [
     "load_dataset",
     "write_dataset",
     "parse_letor",
-    "write_letor",
     "ranking_from_relevance",
     "pairwise_from_utilities",
     "diversity",

@@ -14,8 +14,9 @@ and its diversity-pruned, size-capped variant are calibrated by the same
 walk, with the pruning applied to every calibration point inside the loop.
 
 Each query is profiled once into a loss table whose columns are the thresholds
-``[1.0, *lambda_grid(d_lambda)]``; the walk gathers only the columns it tests,
+``[1.0, *lambda_grid(d_lambda)]``; the walk reads only the columns it tests,
 over every row for ``calibrate`` and over its calibration rows for a trial.
+A diverse set above the cap is pruned only when a walk or a test split reads it.
 """
 
 from __future__ import annotations
@@ -134,13 +135,13 @@ def diverse_family(m_cap: int):
 
 
 def _query_loss_profile(query: LabeledQuery, config: CalibrationConfig):
-    """Reduce one query to (ascending scores, FDP indexed by set size).
+    """Reduce one query to (ascending scores, FDP indexed by set size, score order).
 
     The thresholded set depends on ``lam`` only through how many scores reach
     it, and score ties are all-in or all-out, so caching the FDP per distinct
     count reproduces the per-threshold evaluation exactly. For the diverse
-    family the greedy pruning is re-run for every count above the cap --
-    pruned sets are not nested, so no incremental shortcut is valid there.
+    family the counts above the cap are left NaN, for the loss table to prune
+    on first read -- pruned sets are not nested, so each count is pruned on its own.
     """
     m = derive_m(query.k, config.m_rule)
     s = item_scores(query.scores)
@@ -150,12 +151,8 @@ def _query_loss_profile(query: LabeledQuery, config: CalibrationConfig):
     sizes = np.arange(query.k + 1)
     fdp_by_count = false_prefix / np.maximum(sizes, 1)
     if config.family == "diverse":
-        cap = config.max_items
-        for c in range(cap + 1, query.k + 1):
-            members = PredictionSet((np.sort(order[:c]) + 1).tolist())
-            pruned = _greedy_prune(members, query.embeddings, cap)
-            fdp_by_count[c] = fdp(pruned, query.ranking, m)
-    return np.sort(s), fdp_by_count
+        fdp_by_count[config.max_items + 1 :] = np.nan
+    return np.sort(s), fdp_by_count, order
 
 
 def _thresholds(d_lambda: float) -> np.ndarray:
@@ -163,13 +160,34 @@ def _thresholds(d_lambda: float) -> np.ndarray:
     return np.concatenate(([1.0], lambda_grid(d_lambda)))
 
 
-def _loss_table(data: Sequence[LabeledQuery], config: CalibrationConfig):
-    """Profile each query once: its FDP by set size, and its set size at each threshold.
+class _LossTable:
+    """Each query's FDP by set size, and its set size at each threshold column.
 
     ``fdp_by_size`` is zero-padded to the largest K; ``sizes`` has one column per
     threshold of :func:`_thresholds` and the smallest unsigned dtype that holds K.
-    A query's FDP at column ``col`` is the gather ``fdp_by_size[row, sizes[row, col]]``.
+    NaN entries are filled by ``fill(row, size)`` when :meth:`losses` first reads them.
     """
+
+    def __init__(self, fdp_by_size: np.ndarray, sizes: np.ndarray, fill=None):
+        self.fdp_by_size, self.sizes, self._fill = fdp_by_size, sizes, fill
+
+    def losses(self, rows: np.ndarray, col: int) -> np.ndarray:
+        """The FDP at column ``col`` of each of ``rows``, in ``rows`` order; rows may repeat."""
+        counts = self.sizes[rows, col]
+        out = self.fdp_by_size[rows, counts]
+        if self._fill is not None:
+            for i in np.flatnonzero(np.isnan(out)):
+                row, count = rows[i], counts[i]
+                if np.isnan(self.fdp_by_size[row, count]):  # a repeated row fills once
+                    self.fdp_by_size[row, count] = self._fill(row, count)
+                out[i] = self.fdp_by_size[row, count]
+        if not np.isfinite(out).all():  # FDPs lie in [0, 1]; a NaN would compare false with alpha
+            raise RuntimeError(f"non-finite loss in column {col}: the loss table missed a fill")
+        return out
+
+
+def _loss_table(data: Sequence[LabeledQuery], config: CalibrationConfig) -> _LossTable:
+    """Profile each query once; a diverse entry is pruned when it is first read."""
     if len(data) == 0:
         raise ValueError("calibration requires at least one query")
     missing = [q.query_id for q in data if config.family == "diverse" and q.embeddings is None]
@@ -179,25 +197,32 @@ def _loss_table(data: Sequence[LabeledQuery], config: CalibrationConfig):
     k_max = max(q.k for q in data)
     fdp_by_size = np.zeros((len(data), k_max + 1))
     sizes = np.empty((len(data), thresholds.size), dtype=np.min_scalar_type(k_max))
+    orders = np.zeros((len(data), k_max), dtype=sizes.dtype)
     for row, query in enumerate(data):
-        scores_asc, fdp_by_count = _query_loss_profile(query, config)
+        scores_asc, fdp_by_count, order = _query_loss_profile(query, config)
         fdp_by_size[row, : query.k + 1] = fdp_by_count
+        orders[row, : query.k] = order
         sizes[row] = query.k - np.searchsorted(scores_asc, thresholds, side="left")
-    return fdp_by_size, sizes
+
+    def pruned_fdp(row, count):  # FDP of the query's top-``count`` items, pruned
+        query, members = data[row], PredictionSet((np.sort(orders[row, :count]) + 1).tolist())
+        pruned = _greedy_prune(members, query.embeddings, config.max_items)
+        return fdp(pruned, query.ranking, derive_m(query.k, config.m_rule))
+
+    return _LossTable(fdp_by_size, sizes, pruned_fdp if config.family == "diverse" else None)
 
 
 def _walk(table, rows: np.ndarray, config: CalibrationConfig) -> tuple[CalibrationResult, int]:
     """The fixed-sequence test down the grid over the loss ``table``'s ``rows``.
 
-    Each tested column's losses are gathered as a 1-D array in ``rows`` order.
+    Each tested column's losses are read as a 1-D array in ``rows`` order.
     Returns the result and ``lambda_hat``'s table column (0 for the 1.0 fallback).
     """
-    fdp_by_size, sizes = table
     thresholds = _thresholds(config.d_lambda).tolist()
     bound_fn = get_bound(config.bound)
     trace: list[TraceEntry] = []
     for col in range(1, len(thresholds)):
-        losses = fdp_by_size[rows, sizes[rows, col]]
+        losses = table.losses(rows, col)
         ucb = bound_fn(losses, config.delta)
         rejected = ucb < config.alpha
         trace.append(TraceEntry(thresholds[col], float(losses.mean()), float(ucb), rejected))

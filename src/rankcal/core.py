@@ -182,9 +182,6 @@ class PredictionSet:
     def __iter__(self):
         return iter(self.items)
 
-    def __contains__(self, item) -> bool:
-        return item in self.items
-
     def as_array(self) -> np.ndarray:
         return np.array(self.items, dtype=int)
 

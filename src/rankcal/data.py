@@ -39,7 +39,6 @@ __all__ = [
     "RawQuery",
     "SyntheticSpec",
     "parse_letor",
-    "write_letor",
     "ranking_from_relevance",
     "pairwise_from_utilities",
     "generate_synthetic",
@@ -165,16 +164,6 @@ def parse_letor(source: Union[str, bytes, TextIO]) -> list[RawQuery]:
         cur_feat.append(features)
     flush()
     return queries
-
-
-def write_letor(queries: Sequence[RawQuery]) -> str:
-    out = []
-    for q in queries:
-        for rel, feats in zip(q.relevance, q.features):
-            parts = [str(rel), f"qid:{q.query_id}"]
-            parts.extend(f"{idx}:{repr(val)}" for idx, val in sorted(feats.items()))
-            out.append(" ".join(parts))
-    return "\n".join(out) + ("\n" if out else "")
 
 
 # ---------------------------------------------------------------------------

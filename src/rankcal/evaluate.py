@@ -4,7 +4,8 @@ Each query is profiled once per dataset into one loss table, whose columns are
 the thresholds ``[1.0, *grid]``. Each trial shuffles the dataset with its own
 derived substream, walks the table rows of the first ``n_cal`` queries, and
 reads the rest's FDP and set size at the selected column; an alpha sweep
-shares one table. Repeating over many splits turns the per-run guarantee
+shares one table, which prunes a diverse set only when some walk or test split
+reads it. Repeating over many splits turns the per-run guarantee
 into an observable: at most a ``delta``-fraction of trials should show test
 FDR above ``alpha`` (plus binomial slack from the finite trial count).
 
@@ -196,9 +197,8 @@ def _run_one_trial(data, protocol: TrialProtocol, trial: int, table):
     cal, test = perm[: protocol.n_cal], perm[protocol.n_cal :]
 
     result, col = _walk(table, cal, config)
-    fdp_by_size, sizes = table
-    counts = sizes[test, col].astype(int)
-    losses = fdp_by_size[test, counts]
+    counts = table.sizes[test, col].astype(int)
+    losses = table.losses(test, col)
     set_sizes, ratios, n_modified, n_zero = counts, [], 0, 0
     cap = config.max_items  # None exactly for the plain family, whose sets are never pruned
     if cap is not None:

@@ -1,5 +1,8 @@
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rankcal import (
     CalibrationConfig,
@@ -7,10 +10,12 @@ from rankcal import (
     MRule,
     PairwiseScores,
     Ranking,
+    SyntheticSpec,
     TrialProtocol,
     calibrate,
     diverse_family,
     empirical_fdr,
+    generate_synthetic,
     hoeffding_ucb,
     item_scores,
     lambda_grid,
@@ -18,6 +23,8 @@ from rankcal import (
     predict,
     run_trials,
 )
+from rankcal.calibrate import _loss_table, _thresholds, _walk
+from rankcal.risk import derive_m, fdp
 from conftest import random_dataset
 
 
@@ -300,3 +307,98 @@ class TestPredict:
             config = CalibrationConfig(alpha=0.3, delta=0.1, family=family, max_items=cap)
             with pytest.raises(ValueError, match=r"\(3, d\)"):
                 predict(scores, 0.1, config, embeddings=np.eye(4))
+
+
+@st.composite
+def tied_queries(draw):
+    """1-5 queries of K 1..9 with probabilities on quarters and embeddings on {0, 1, 2}^2.
+
+    Quartered probabilities make item scores tie with each other and with the
+    grid; lattice embeddings make the greedy prune's candidates tie.
+    """
+    queries = []
+    for i in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 9))
+        quarters = draw(st.lists(st.integers(0, 4), min_size=k * k, max_size=k * k))
+        ranks = draw(st.permutations(range(1, k + 1)))
+        lattice = draw(st.lists(st.integers(0, 2), min_size=2 * k, max_size=2 * k))
+        queries.append(LabeledQuery(f"q{i}", PairwiseScores(np.reshape(quarters, (k, k)) / 4),
+                                    Ranking(np.array(ranks)),
+                                    np.reshape(lattice, (k, 2)).astype(float)))
+    return queries
+
+
+M_RULES = st.one_of(st.sampled_from([0.2, 0.5, 1.0]).map(MRule.fraction),
+                    st.integers(1, 9).map(MRule.absolute))
+
+
+def table_losses(data, config):
+    """One full read of the loss table: every column over every row, in order."""
+    table, rows = _loss_table(data, config), np.arange(len(data))
+    return [table.losses(rows, col).tolist() for col in range(_thresholds(config.d_lambda).size)]
+
+
+class TestLossTable:
+    """Every loss the table hands out equals the public reference path's, ties included."""
+
+    @settings(max_examples=150)
+    @given(data=tied_queries(), cap=st.one_of(st.none(), st.integers(1, 9)), m_rule=M_RULES,
+           d_lambda=st.sampled_from([0.25, 0.125, 0.037, 0.01]))
+    def test_losses_equal_reference_path_on_ties(self, data, cap, m_rule, d_lambda):
+        family = "plain" if cap is None else "diverse"
+        config = CalibrationConfig(alpha=0.3, delta=0.1, d_lambda=d_lambda, m_rule=m_rule,
+                                   family=family, max_items=cap)
+        reference = plain_family if cap is None else diverse_family(cap)
+        got = table_losses(data, config)
+        for col, lam in enumerate(_thresholds(d_lambda)):
+            want = [fdp(reference(q, lam), q.ranking, derive_m(q.k, m_rule)) for q in data]
+            assert got[col] == want, (col, lam)
+
+    @settings(max_examples=60)
+    @given(data=tied_queries(), cap=st.integers(1, 4), draws=st.data())
+    def test_any_read_order_equals_one_full_read(self, data, cap, draws):
+        config = CalibrationConfig(alpha=0.3, delta=0.1, d_lambda=0.125,
+                                   family="diverse", max_items=cap)
+        full = table_losses(data, config)
+        table = _loss_table(data, config)
+        cols = draws.draw(st.permutations(range(len(full))))
+        rows = np.array(draws.draw(st.lists(st.integers(0, len(data) - 1), min_size=1,
+                                            max_size=12)))
+        for col in cols + cols:  # every column in a drawn order, then all again
+            assert table.losses(rows, col).tolist() == [full[col][r] for r in rows]
+        assert table_losses(data, config) == full
+
+    def test_diverse_calibration_prunes_only_what_the_walk_reads(self, monkeypatch):
+        # The diverse-largek benchmark shape: one query at each of 20 K from 50 to 100.
+        data = [generate_synthetic(SyntheticSpec(seed=j, n_queries=1, k_min=int(k),
+                                                 k_max=int(k), noise=0.25))[0]
+                for j, k in enumerate(np.linspace(50, 100, 20).round())]
+        config = CalibrationConfig(alpha=0.35, delta=0.1, family="diverse", max_items=5)
+        row_of = {id(q.embeddings): row for row, q in enumerate(data)}
+        pruned = []
+        module = sys.modules["rankcal.calibrate"]  # the package's `calibrate` is the function
+        prune = module._greedy_prune
+
+        def counting(pred, embeddings, m_cap):
+            pruned.append((row_of[id(embeddings)], len(pred)))
+            return prune(pred, embeddings, m_cap)
+
+        monkeypatch.setattr(module, "_greedy_prune", counting)
+        result = calibrate(data, config)
+        sizes = _loss_table(data, config).sizes
+        reached = {(row, int(sizes[row, col])) for col in range(1, len(result.trace) + 1)
+                   for row in range(len(data)) if sizes[row, col] > config.max_items}
+        assert result.stopped_reason == "failed_to_reject"
+        assert sorted(pruned) == sorted(reached)  # each reached pair once, nothing else
+        assert len(pruned) < sum(q.k - config.max_items for q in data) / 5
+
+    @pytest.mark.parametrize("family,cap,poison", [("plain", None, np.nan),
+                                                   ("diverse", 2, np.inf)])
+    def test_walk_raises_on_a_non_finite_loss(self, family, cap, poison):
+        # NaN compares false with alpha, so an unfilled entry would end the walk quietly.
+        data = random_dataset(seed=3, n=30, k_max=6, with_embeddings=True)
+        config = CalibrationConfig(alpha=0.4, delta=0.2, family=family, max_items=cap)
+        table = _loss_table(data, config)
+        table.fdp_by_size[7, table.sizes[7, 1]] = poison
+        with pytest.raises(RuntimeError, match="non-finite"):
+            _walk(table, np.arange(len(data)), config)

@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rankcal import (
@@ -97,6 +98,22 @@ class TestCalibrateCommand:
         ])
         assert code == 2
         assert "--embeddings" in capsys.readouterr().err
+
+    def test_unfilled_loss_table_is_a_traceback_not_a_usage_error(self, dataset_paths,
+                                                                   tmp_path, monkeypatch):
+        # A NaN loss is a bug inside rankcal, so it must not exit 2 like a bad flag.
+        paths, _ = dataset_paths
+        module = sys.modules["rankcal.calibrate"]
+        profile = module._query_loss_profile
+
+        def unfilled(query, config):
+            scores_asc, fdp_by_count, order = profile(query, config)
+            return scores_asc, np.full_like(fdp_by_count, np.nan), order
+
+        monkeypatch.setattr(module, "_query_loss_profile", unfilled)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            main(["calibrate", "--scores", str(paths["scores"]),
+                  "--rankings", str(paths["rankings"]), "--out", str(tmp_path / "o")])
 
     def test_parse_error_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

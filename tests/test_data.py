@@ -17,7 +17,6 @@ from rankcal import (
     pairwise_from_utilities,
     parse_letor,
     ranking_from_relevance,
-    write_letor,
 )
 from rankcal.data import (
     assemble_queries,
@@ -85,12 +84,12 @@ class TestParseLetor:
     def test_fifty_line_fixture_round_trips(self):
         rng = np.random.default_rng(50)
         queries = []
-        line_count = 0
+        lines = []
         qid = 0
-        while line_count < 50:
+        while len(lines) < 50:
             qid += 1
             n_items = int(rng.integers(1, 6))
-            n_items = min(n_items, 50 - line_count)
+            n_items = min(n_items, 50 - len(lines))
             rels = tuple(int(r) for r in rng.integers(0, 5, n_items))
             feats = tuple(
                 {int(i): float(round(v, 6)) for i, v in
@@ -98,8 +97,9 @@ class TestParseLetor:
                 for _ in range(n_items)
             )
             queries.append(RawQuery(str(qid), rels, feats))
-            line_count += n_items
-        text = write_letor(queries)
+            lines += [" ".join([f"{rel} qid:{qid}", *(f"{i}:{v!r}" for i, v in f.items())])
+                      for rel, f in zip(rels, feats)]
+        text = "\n".join(lines) + "\n"
         assert text.count("\n") == 50
         assert parse_letor(text) == queries
 

@@ -255,6 +255,20 @@ class TestTrialsEqualReference:
                 else:
                     assert got == ref, (case, f.name, got, ref)
 
+    def test_non_finite_test_loss_raises(self, monkeypatch):
+        # A NaN test_fdr would count as "not above alpha" and pass unnoticed.
+        walk = rankcal.evaluate._walk
+
+        def walk_then_poison(table, rows, config):
+            out = walk(table, rows, config)
+            table.fdp_by_size[:] = np.nan  # the test split reads after the walk
+            return out
+
+        monkeypatch.setattr(rankcal.evaluate, "_walk", walk_then_poison)
+        config = CalibrationConfig(alpha=0.4, delta=0.2)
+        with pytest.raises(RuntimeError, match="non-finite"):
+            run_trials(synthetic(2, 7), TrialProtocol(n_cal=45, config=config, trials=1))
+
     def test_diverse_query_without_embeddings_fails_before_any_trial(self, monkeypatch):
         data = synthetic(2, 6)
         bare = data[7]
