@@ -1,17 +1,7 @@
-import os
-
 import numpy as np
 import pytest
-from hypothesis import settings
 
 from rankcal import LabeledQuery, PairwiseScores, Ranking
-
-# Shared CI runners are slow, and the tie tests prune on every example: no
-# per-example deadline there, and a failing example prints the blob that
-# reproduces it (`@reproduce_failure`). GitHub Actions sets CI.
-settings.register_profile("ci", deadline=None, print_blob=True)
-if os.environ.get("CI"):
-    settings.load_profile("ci")
 
 
 def random_query(rng: np.random.Generator, k: int, with_embeddings: bool = False,

@@ -341,7 +341,7 @@ def table_losses(data, config):
 class TestLossTable:
     """Every loss the table hands out equals the public reference path's, ties included."""
 
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     @given(data=tied_queries(), cap=st.one_of(st.none(), st.integers(1, 9)), m_rule=M_RULES,
            d_lambda=st.sampled_from([0.25, 0.125, 0.037, 0.01]))
     def test_losses_equal_reference_path_on_ties(self, data, cap, m_rule, d_lambda):
@@ -354,7 +354,7 @@ class TestLossTable:
             want = [fdp(reference(q, lam), q.ranking, derive_m(q.k, m_rule)) for q in data]
             assert got[col] == want, (col, lam)
 
-    @settings(max_examples=60)
+    @settings(max_examples=60, deadline=None)
     @given(data=tied_queries(), cap=st.integers(1, 4), draws=st.data())
     def test_any_read_order_equals_one_full_read(self, data, cap, draws):
         config = CalibrationConfig(alpha=0.3, delta=0.1, d_lambda=0.125,

@@ -102,7 +102,7 @@ class TestPredictionSet:
 
     def test_container_protocol(self):
         s = PredictionSet([2, 5])
-        assert len(s) == 2 and list(s) == [2, 5]
+        assert len(s) == 2 and 5 in s and 7 not in s and list(s) == [2, 5]
 
 
 class TestItemScores:
