@@ -16,7 +16,8 @@ walk, with the pruning applied to every calibration point inside the loop.
 Each query is profiled once into a loss table whose columns are the thresholds
 ``[1.0, *lambda_grid(d_lambda)]``; the walk reads only the columns it tests,
 over every row for ``calibrate`` and over its calibration rows for a trial.
-A diverse set above the cap is pruned only when a walk or a test split reads it.
+A diverse set above the cap is pruned only when a walk or a test split reads it,
+and its diversity ratio is computed only when a test split reads it.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 
 from .core import LabeledQuery, PairwiseScores, PredictionSet, item_scores, threshold_set
 from .core import _checked_embeddings
-from .diversity import _greedy_prune, greedy_prune
+from .diversity import _diversity_ratio, _greedy_prune, greedy_prune
 from .risk import MRule, derive_m, fdp, get_bound
 
 __all__ = [
@@ -165,24 +166,34 @@ class _LossTable:
 
     ``fdp_by_size`` is zero-padded to the largest K; ``sizes`` has one column per
     threshold of :func:`_thresholds` and the smallest unsigned dtype that holds K.
-    NaN entries are filled by ``fill(row, size)`` when :meth:`losses` first reads them.
+    A diverse table's ``ratio_by_size`` holds each set's pruned-over-unpruned
+    diversity, -1.0 where the unpruned one is 0. A NaN entry is filled when first
+    read, by ``fills[0](row, size)`` for an FDP and ``fills[1]`` for a ratio.
     """
 
-    def __init__(self, fdp_by_size: np.ndarray, sizes: np.ndarray, fill=None):
-        self.fdp_by_size, self.sizes, self._fill = fdp_by_size, sizes, fill
+    def __init__(self, fdp_by_size: np.ndarray, sizes: np.ndarray, fills=(None, None)):
+        self.fdp_by_size, self.sizes, self._fills = fdp_by_size, sizes, fills
+        self.ratio_by_size = None if fills[1] is None else np.full(fdp_by_size.shape, np.nan)
 
     def losses(self, rows: np.ndarray, col: int) -> np.ndarray:
         """The FDP at column ``col`` of each of ``rows``, in ``rows`` order; rows may repeat."""
+        return self._read(self.fdp_by_size, self._fills[0], rows, col)
+
+    def ratios(self, rows: np.ndarray, col: int) -> np.ndarray:
+        """Each of ``rows``' diversity ratio at column ``col``, read as :meth:`losses` reads."""
+        return self._read(self.ratio_by_size, self._fills[1], rows, col)
+
+    def _read(self, by_size: np.ndarray, fill, rows: np.ndarray, col: int) -> np.ndarray:
         counts = self.sizes[rows, col]
-        out = self.fdp_by_size[rows, counts]
-        if self._fill is not None:
+        out = by_size[rows, counts]
+        if fill is not None:
             for i in np.flatnonzero(np.isnan(out)):
                 row, count = rows[i], counts[i]
-                if np.isnan(self.fdp_by_size[row, count]):  # a repeated row fills once
-                    self.fdp_by_size[row, count] = self._fill(row, count)
-                out[i] = self.fdp_by_size[row, count]
-        if not np.isfinite(out).all():  # FDPs lie in [0, 1]; a NaN would compare false with alpha
-            raise RuntimeError(f"non-finite loss in column {col}: the loss table missed a fill")
+                if np.isnan(by_size[row, count]):  # a repeated row fills once
+                    by_size[row, count] = fill(row, count)
+                out[i] = by_size[row, count]
+        if not np.isfinite(out).all():  # a NaN FDP would compare false with alpha
+            raise RuntimeError(f"non-finite entry in column {col}: the loss table missed a fill")
         return out
 
 
@@ -204,12 +215,19 @@ def _loss_table(data: Sequence[LabeledQuery], config: CalibrationConfig) -> _Los
         orders[row, : query.k] = order
         sizes[row] = query.k - np.searchsorted(scores_asc, thresholds, side="left")
 
-    def pruned_fdp(row, count):  # FDP of the query's top-``count`` items, pruned
-        query, members = data[row], PredictionSet((np.sort(orders[row, :count]) + 1).tolist())
-        pruned = _greedy_prune(members, query.embeddings, config.max_items)
+    def top(row, count):  # the query's top-``count`` items: its set at any such threshold
+        return PredictionSet((np.sort(orders[row, :count]) + 1).tolist())
+
+    def pruned_fdp(row, count):
+        query = data[row]
+        pruned = _greedy_prune(top(row, count), query.embeddings, config.max_items)
         return fdp(pruned, query.ranking, derive_m(query.k, config.m_rule))
 
-    return _LossTable(fdp_by_size, sizes, pruned_fdp if config.family == "diverse" else None)
+    def ratio(row, count):
+        return _diversity_ratio(top(row, count), data[row].embeddings, config.max_items)
+
+    fills = (pruned_fdp, ratio) if config.family == "diverse" else (None, None)
+    return _LossTable(fdp_by_size, sizes, fills)
 
 
 def _walk(table, rows: np.ndarray, config: CalibrationConfig) -> tuple[CalibrationResult, int]:

@@ -20,6 +20,13 @@ __all__ = ["diversity", "greedy_prune", "exhaustive_prune"]
 _EXHAUSTIVE_GUARD = 20
 
 
+def _checked_cap(m_cap) -> int:
+    """``m_cap`` as an int; an integral float such as 3.0 passes, as in ``CalibrationConfig``."""
+    if not float(m_cap).is_integer() or m_cap < 1:
+        raise ValueError(f"m_cap must be an integer >= 1, got {m_cap!r}")
+    return int(m_cap)
+
+
 def _checked_for(pred: PredictionSet, embeddings: np.ndarray) -> np.ndarray:
     """Checked embeddings that hold a row for every member of ``pred``."""
     mat = _checked_embeddings(embeddings)
@@ -38,9 +45,7 @@ def diversity(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> float:
 
     Empty and singleton sets have no pairs and score 0.
     """
-    if m_cap < 1:
-        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    return _diversity(pred, _checked_for(pred, embeddings), m_cap)
+    return _diversity(pred, _checked_for(pred, embeddings), _checked_cap(m_cap))
 
 
 def _diversity(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> float:
@@ -54,6 +59,14 @@ def _diversity(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> float
     return total / max(m_cap, n)
 
 
+def _diversity_ratio(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> float:
+    """Pruned-over-unpruned diversity on trusted input; -1.0, which no ratio takes, marks 0/0."""
+    before = _diversity(pred, embeddings, m_cap)
+    if before == 0.0:
+        return -1.0
+    return _diversity(_greedy_prune(pred, embeddings, m_cap), embeddings, m_cap) / before
+
+
 def greedy_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> PredictionSet:
     """Shrink a set to at most ``m_cap`` items, one removal at a time.
 
@@ -65,9 +78,7 @@ def greedy_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> Pre
     every candidate from those sums, and copies the matrix without the dropped row
     and column: O(s^2) time and memory per removal.
     """
-    if m_cap < 1:
-        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    return _greedy_prune(pred, _checked_for(pred, embeddings), m_cap)
+    return _greedy_prune(pred, _checked_for(pred, embeddings), _checked_cap(m_cap))
 
 
 def _greedy_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) -> PredictionSet:
@@ -99,8 +110,7 @@ def exhaustive_prune(pred: PredictionSet, embeddings: np.ndarray, m_cap: int) ->
     enumerated, in lexicographic order, keeping the first maximizer. Guarded
     to ``|pred| <= 20`` -- the search is combinatorial.
     """
-    if m_cap < 1:
-        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
+    m_cap = _checked_cap(m_cap)
     if len(pred) > _EXHAUSTIVE_GUARD:
         raise ValueError(
             f"exhaustive search limited to sets of size <= {_EXHAUSTIVE_GUARD}, got {len(pred)}"

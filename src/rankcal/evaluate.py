@@ -3,11 +3,12 @@
 Each query is profiled once per dataset into one loss table, whose columns are
 the thresholds ``[1.0, *grid]``. Each trial shuffles the dataset with its own
 derived substream, walks the table rows of the first ``n_cal`` queries, and
-reads the rest's FDP and set size at the selected column; an alpha sweep
-shares one table, which prunes a diverse set only when some walk or test split
-reads it. Repeating over many splits turns the per-run guarantee
-into an observable: at most a ``delta``-fraction of trials should show test
-FDR above ``alpha`` (plus binomial slack from the finite trial count).
+reads the rest's set sizes, FDPs and diversity ratios at the selected column.
+An alpha sweep shares one table. A diverse set is pruned when a walk or a test
+split first reads it, and its diversity ratio is computed when a test split
+first reads it. Repeating over many splits turns the per-run guarantee into an
+observable: at most a ``delta``-fraction of trials should show test FDR above
+``alpha`` (plus binomial slack from the finite trial count).
 
 Set sizes are recorded for every test query by default, which strictly
 dominates sampling a single uniform query per trial; the single-sample
@@ -24,7 +25,7 @@ import numpy as np
 
 from .calibrate import CalibrationConfig, _loss_table, _walk
 from .core import LabeledQuery, PredictionSet, item_scores, threshold_set
-from .diversity import _diversity, _greedy_prune
+from .diversity import _checked_cap, _diversity_ratio
 from .risk import MRule, derive_m, fdp
 
 __all__ = [
@@ -152,32 +153,17 @@ class SweepRow:
     fraction_modified: Optional[float]
 
 
-def _diversity_ratios(
-    queries: Sequence[LabeledQuery], lam: float, m_cap: int
-) -> tuple[list[float], int, int]:
-    """Diversity bookkeeping of pruning each query's set at ``lam`` to ``m_cap`` items.
+def _split_marks(marked: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """``(ratios, n_modified, n_zero_denominator)``: a -1.0 mark is counted, not averaged."""
+    ratios = marked[marked >= 0.0]
+    return ratios, marked.size, marked.size - ratios.size
 
-    Every *modified* set (its thresholded set exceeds the cap) adds its
-    pruned-over-unpruned diversity ratio, or is only counted when its unpruned
-    diversity is zero; sets within the cap are left alone. Returns
-    ``(ratios, n_modified, n_zero_denominator)``.
-    """
-    ratios: list[float] = []
-    n_modified = n_zero = 0
-    for q in queries:
-        if q.embeddings is None:
-            raise ValueError(f"query {q.query_id!r} has no embeddings")
-        base = threshold_set(item_scores(q.scores), lam)
-        if len(base) <= m_cap:
-            continue
-        n_modified += 1
-        before = _diversity(base, q.embeddings, m_cap)  # checked when q was built
-        if before == 0.0:
-            n_zero += 1
-        else:
-            pruned = _greedy_prune(base, q.embeddings, m_cap)
-            ratios.append(_diversity(pruned, q.embeddings, m_cap) / before)
-    return ratios, n_modified, n_zero
+
+def _diversity_stats(ratios: np.ndarray, n_modified: int, n_zero: int, n_evaluated: int):
+    return DiversityStats(mean_ratio=float(ratios.mean()) if ratios.size else None,
+                          fraction_modified=n_modified / n_evaluated if n_evaluated else 0.0,
+                          n_modified=n_modified, n_evaluated=n_evaluated,
+                          n_zero_denominator=n_zero)
 
 
 def _trial_table(data: Sequence[LabeledQuery], protocol: TrialProtocol):
@@ -199,12 +185,11 @@ def _run_one_trial(data, protocol: TrialProtocol, trial: int, table):
     result, col = _walk(table, cal, config)
     counts = table.sizes[test, col].astype(int)
     losses = table.losses(test, col)
-    set_sizes, ratios, n_modified, n_zero = counts, [], 0, 0
+    set_sizes, ratios, n_modified, n_zero = counts, np.array([]), 0, 0
     cap = config.max_items  # None exactly for the plain family, whose sets are never pruned
     if cap is not None:
         set_sizes = np.minimum(counts, cap)
-        modified = [data[j] for j in test[counts > cap]]
-        ratios, n_modified, n_zero = _diversity_ratios(modified, result.lambda_hat, cap)
+        ratios, n_modified, n_zero = _split_marks(table.ratios(test[counts > cap], col))
 
     sampled = int(set_sizes[rng.integers(len(test))]) if protocol.single_size_sample else None
     return TrialRecord(
@@ -216,7 +201,7 @@ def _run_one_trial(data, protocol: TrialProtocol, trial: int, table):
         sampled_set_size=sampled,
         set_sizes=set_sizes,
         fdps=losses,
-        diversity_ratios=np.array(ratios),
+        diversity_ratios=ratios,
         n_modified=n_modified,
         n_zero_denominator=n_zero,
     )
@@ -250,15 +235,9 @@ def _run_trials(data: Sequence[LabeledQuery], protocol: TrialProtocol, table) ->
 
     div_stats = None
     if protocol.config.family == "diverse":
-        all_ratios = np.concatenate([r.diversity_ratios for r in records])
-        n_modified = sum(r.n_modified for r in records)
-        div_stats = DiversityStats(
-            mean_ratio=float(all_ratios.mean()) if all_ratios.size else None,
-            fraction_modified=n_modified / pooled_sizes.size,
-            n_modified=n_modified,
-            n_evaluated=int(pooled_sizes.size),
-            n_zero_denominator=sum(r.n_zero_denominator for r in records),
-        )
+        div_stats = _diversity_stats(np.concatenate([r.diversity_ratios for r in records]),
+                                     sum(r.n_modified for r in records),
+                                     sum(r.n_zero_denominator for r in records), pooled_sizes.size)
     return EvalReport(tuple(records), risk_hist, size_hist, tuple(strata), div_stats)
 
 
@@ -329,16 +308,15 @@ def relative_diversity_improvement(
     modified query contributes the ratio of pruned to unpruned diversity.
     Zero-diversity denominators are excluded from the mean and counted.
     """
-    if m_cap < 1:
-        raise ValueError(f"m_cap must be >= 1, got {m_cap}")
-    ratios, n_modified, n_zero = _diversity_ratios(queries, lambda_hat, m_cap)
-    return DiversityStats(
-        mean_ratio=float(np.mean(ratios)) if ratios else None,
-        fraction_modified=n_modified / len(queries) if queries else 0.0,
-        n_modified=n_modified,
-        n_evaluated=len(queries),
-        n_zero_denominator=n_zero,
-    )
+    m_cap = _checked_cap(m_cap)
+    marked = []
+    for q in queries:
+        if q.embeddings is None:
+            raise ValueError(f"query {q.query_id!r} has no embeddings")
+        base = threshold_set(item_scores(q.scores), lambda_hat)
+        if len(base) > m_cap:  # the embeddings were checked when q was built
+            marked.append(_diversity_ratio(base, q.embeddings, m_cap))
+    return _diversity_stats(*_split_marks(np.array(marked)), len(queries))
 
 
 def sweep(
@@ -363,17 +341,8 @@ def sweep(
     for value in values:
         run = replace(protocol, config=replace(protocol.config, **{param: value}))
         report = _run_trials(data, run, table if table is not None else _trial_table(data, run))
-        rows.append(
-            SweepRow(
-                param=param,
-                value=value,
-                mean_test_fdr=report.mean_test_fdr,
-                mean_relative_diversity=(
-                    report.diversity.mean_ratio if report.diversity else None
-                ),
-                fraction_modified=(
-                    report.diversity.fraction_modified if report.diversity else None
-                ),
-            )
-        )
+        div = report.diversity
+        rows.append(SweepRow(param=param, value=value, mean_test_fdr=report.mean_test_fdr,
+                             mean_relative_diversity=div.mean_ratio if div else None,
+                             fraction_modified=div.fraction_modified if div else None))
     return rows

@@ -14,8 +14,10 @@ from rankcal import (
     TrialProtocol,
     calibrate,
     diverse_family,
+    diversity,
     empirical_fdr,
     generate_synthetic,
+    greedy_prune,
     hoeffding_ucb,
     item_scores,
     lambda_grid,
@@ -383,7 +385,9 @@ class TestLossTable:
             pruned.append((row_of[id(embeddings)], len(pred)))
             return prune(pred, embeddings, m_cap)
 
+        ratios = []  # only a trial's test split reads a diversity ratio
         monkeypatch.setattr(module, "_greedy_prune", counting)
+        monkeypatch.setattr(module, "_diversity_ratio", lambda *args: ratios.append(args))
         result = calibrate(data, config)
         sizes = _loss_table(data, config).sizes
         reached = {(row, int(sizes[row, col])) for col in range(1, len(result.trace) + 1)
@@ -391,6 +395,24 @@ class TestLossTable:
         assert result.stopped_reason == "failed_to_reject"
         assert sorted(pruned) == sorted(reached)  # each reached pair once, nothing else
         assert len(pruned) < sum(q.k - config.max_items for q in data) / 5
+        assert ratios == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=tied_queries(), cap=st.integers(1, 4))
+    def test_ratios_equal_reference_path_on_ties(self, data, cap):
+        config = CalibrationConfig(alpha=0.3, delta=0.1, d_lambda=0.125,
+                                   family="diverse", max_items=cap)
+        table, rows = _loss_table(data, config), np.arange(len(data))
+        for col, lam in enumerate(_thresholds(config.d_lambda)):
+            bases = [plain_family(q, lam) for q in data]
+            modified = np.array([len(base) > cap for base in bases], dtype=bool)
+            want = []  # a set of zero unpruned diversity is marked -1.0
+            for q, base in zip(data, bases):
+                if len(base) > cap:
+                    before = diversity(base, q.embeddings, cap)
+                    pruned = diversity(greedy_prune(base, q.embeddings, cap), q.embeddings, cap)
+                    want.append(-1.0 if before == 0.0 else pruned / before)
+            assert table.ratios(rows[modified], col).tolist() == want, (col, lam)
 
     @pytest.mark.parametrize("family,cap,poison", [("plain", None, np.nan),
                                                    ("diverse", 2, np.inf)])

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rankcal import PredictionSet, diversity, exhaustive_prune, greedy_prune
+from rankcal import (
+    PredictionSet,
+    SyntheticSpec,
+    diversity,
+    exhaustive_prune,
+    generate_synthetic,
+    greedy_prune,
+    relative_diversity_improvement,
+)
 
 TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 COLLINEAR = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
@@ -178,3 +186,27 @@ class TestExhaustivePrune:
             exhaustive_prune(pred, vectors, 2).items
             == exhaustive_prune(pred, 3.7 * vectors, 2).items
         )
+
+
+SQUARE_AND_CENTRE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.5]])
+# Every public function that takes a cap, at a cap of 3 that changes its result.
+CAP_TAKERS = {
+    "diversity": lambda cap: diversity(PredictionSet([1, 4]), SQUARE_AND_CENTRE, cap),
+    "greedy_prune": lambda cap: greedy_prune(PredictionSet(range(1, 6)), SQUARE_AND_CENTRE, cap),
+    "exhaustive_prune": lambda cap: exhaustive_prune(PredictionSet(range(1, 6)),
+                                                     SQUARE_AND_CENTRE, cap),
+    "relative_diversity_improvement": lambda cap: relative_diversity_improvement(
+        generate_synthetic(SyntheticSpec(seed=1, n_queries=50, k_min=4, k_max=8)), 0.4, cap),
+}
+
+
+@pytest.mark.parametrize("cap", [2.5, 0, 3.0])
+@pytest.mark.parametrize("name", sorted(CAP_TAKERS))
+def test_cap_must_be_an_integer_of_at_least_one(name, cap):
+    # No calibrated cap is 2.5: every function checks its cap as CalibrationConfig does.
+    call = CAP_TAKERS[name]
+    if cap == 3.0:
+        assert call(cap) == call(3) != call(4)
+    else:
+        with pytest.raises(ValueError, match="m_cap must be an integer >= 1"):
+            call(cap)

@@ -1,4 +1,5 @@
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -256,18 +257,22 @@ class TestTrialsEqualReference:
                     assert got == ref, (case, f.name, got, ref)
 
     def test_non_finite_test_loss_raises(self, monkeypatch):
-        # A NaN test_fdr would count as "not above alpha" and pass unnoticed.
+        # A NaN test_fdr would count as "not above alpha" and pass unnoticed, and a
+        # non-finite ratio would pass the zero-denominator split as a ratio.
         walk = rankcal.evaluate._walk
+        # The test split reads after the walk. A diverse table fills a NaN ratio, so inf.
+        cases = [(dict(alpha=0.4), "fdp_by_size", np.nan),
+                 (dict(alpha=0.45, **DIVERSE), "ratio_by_size", np.inf)]
+        for config_args, entries, poison in cases:
+            def walk_then_poison(table, rows, config):
+                out = walk(table, rows, config)
+                getattr(table, entries)[:] = poison
+                return out
 
-        def walk_then_poison(table, rows, config):
-            out = walk(table, rows, config)
-            table.fdp_by_size[:] = np.nan  # the test split reads after the walk
-            return out
-
-        monkeypatch.setattr(rankcal.evaluate, "_walk", walk_then_poison)
-        config = CalibrationConfig(alpha=0.4, delta=0.2)
-        with pytest.raises(RuntimeError, match="non-finite"):
-            run_trials(synthetic(2, 7), TrialProtocol(n_cal=45, config=config, trials=1))
+            monkeypatch.setattr(rankcal.evaluate, "_walk", walk_then_poison)
+            config = CalibrationConfig(delta=0.2, **config_args)
+            with pytest.raises(RuntimeError, match="non-finite"):
+                run_trials(synthetic(2, 7), TrialProtocol(n_cal=45, config=config, trials=1))
 
     def test_diverse_query_without_embeddings_fails_before_any_trial(self, monkeypatch):
         data = synthetic(2, 6)
@@ -353,20 +358,24 @@ class TestRelativeDiversityImprovement:
         assert stats.mean_ratio is None
 
     def test_single_modified_query_mean_is_its_ratio(self):
-        from rankcal import diversity, greedy_prune
-
-        data = small_dataset(n=1, seed=123, diverse=True)
-        [q] = data
+        # On tied scores and on coincident embeddings too, each ratio is the public loop's.
+        datasets = [small_dataset(n=1, seed=123, diverse=True),
+                    quantised(synthetic(2, 7, n=9)), collapsed(synthetic(2, 7, n=9))]
         lam = 0.0  # every item enters the base set
-        base = threshold_set(item_scores(q.scores), lam)
-        assert len(base) == q.k
-        m_cap = q.k - 1
-        stats = relative_diversity_improvement(data, lam, m_cap=m_cap)
-        expected = diversity(greedy_prune(base, q.embeddings, m_cap), q.embeddings, m_cap)
-        expected /= diversity(base, q.embeddings, m_cap)
-        assert stats.n_modified == 1
-        assert stats.fraction_modified == 1.0
-        assert stats.mean_ratio == pytest.approx(expected, abs=1e-12)
+        for q in (q for data in datasets for q in data):
+            base = threshold_set(item_scores(q.scores), lam)
+            assert len(base) == q.k
+            m_cap = q.k - 1
+            stats = relative_diversity_improvement([q], lam, m_cap=m_cap)
+            before = diversity(base, q.embeddings, m_cap)
+            assert stats.n_modified == 1
+            assert stats.fraction_modified == 1.0
+            if before == 0.0:
+                assert stats.mean_ratio is None and stats.n_zero_denominator == 1
+            else:
+                pruned = greedy_prune(base, q.embeddings, m_cap)
+                assert stats.mean_ratio == diversity(pruned, q.embeddings, m_cap) / before
+        assert any(not q.embeddings.any() for q in datasets[2])
 
     def test_zero_denominator_counted_not_averaged(self):
         k = 3
@@ -436,6 +445,47 @@ class TestSweep:
             data, TrialProtocol(n_cal=30, config=CalibrationConfig(
                 alpha=0.4, delta=0.2, family="diverse", max_items=3), trials=1, seed=6)
         ).mean_test_fdr
+
+    @pytest.mark.parametrize("shape", [quantised, collapsed])
+    def test_alpha_sweep_shares_ratios_bit_for_bit(self, shape):
+        # Ties in the scores, and sets of zero diversity, read from one shared table.
+        data = shape(synthetic(2, 7))
+        base = CalibrationConfig(alpha=0.3, delta=0.2, family="diverse", max_items=2)
+        protocol = TrialProtocol(n_cal=45, config=base, trials=4, seed=13)
+        rows = sweep("alpha", [0.3, 0.45, 0.55, 0.45], data, protocol)
+        zero = 0
+        for row in rows:
+            config = replace(base, alpha=row.value)
+            report = run_trials(data, replace(protocol, config=config))
+            assert row.mean_test_fdr == report.mean_test_fdr
+            assert row.mean_relative_diversity == report.diversity.mean_ratio
+            assert row.fraction_modified == report.diversity.fraction_modified
+            zero += report.diversity.n_zero_denominator
+        assert len({row.fraction_modified for row in rows}) > 1
+        assert (zero > 0) == (shape is collapsed)
+
+    def test_alpha_sweep_computes_each_ratio_once(self, monkeypatch):
+        data = synthetic(2, 7)
+        row_of = {id(q.embeddings): row for row, q in enumerate(data)}
+        module = sys.modules["rankcal.calibrate"]
+        ratio, computed = module._diversity_ratio, []
+
+        def counting(pred, embeddings, m_cap):
+            computed.append((row_of[id(embeddings)], len(pred)))
+            return ratio(pred, embeddings, m_cap)
+
+        monkeypatch.setattr(module, "_diversity_ratio", counting)
+        base = CalibrationConfig(alpha=0.3, delta=0.2, family="diverse", max_items=2)
+        protocol = TrialProtocol(n_cal=45, config=base, trials=4, seed=13)
+        alphas, pairs, reads = [0.3, 0.45, 0.55], set(), 0
+        for alpha in alphas:  # a fresh table per run computes each of its pairs once
+            report = run_trials(data, replace(protocol, config=replace(base, alpha=alpha)))
+            pairs |= set(computed)
+            reads += sum(r.n_modified for r in report.records)
+            computed.clear()
+        sweep("alpha", alphas, data, protocol)
+        assert len(computed) == len(set(computed)) and set(computed) == pairs
+        assert len(pairs) < reads
 
     def test_alpha_sweep_equals_separate_runs(self):
         data = small_dataset(n=80, diverse=True)
