@@ -34,6 +34,7 @@ from .data import (
     generate_synthetic,
     load_dataset,
     read_embeddings,
+    read_rankings,
     read_scores,
     write_dataset,
     write_json,
@@ -193,15 +194,17 @@ def _manifest_lambda(path: str, config: CalibrationConfig) -> float:
             manifest = json.load(f)
         except ValueError as exc:
             raise SchemaError(f"{path}: not JSON ({exc})") from None
-    if not (isinstance(manifest, dict) and isinstance(manifest.get("config"), dict)
-            and isinstance(manifest.get("lambda_hat"), (int, float))):
-        raise SchemaError(f"{path}: a manifest must be an object with 'lambda_hat' and 'config'")
+    lam = manifest.get("lambda_hat") if isinstance(manifest, dict) else None
+    if not (isinstance(lam, (int, float)) and not isinstance(lam, bool) and 0 <= lam <= 1
+            and isinstance(manifest.get("config"), dict)):
+        raise SchemaError(f"{path}: a manifest must be an object with 'config' and a "
+                          "'lambda_hat' in [0, 1]")
     flags = _config_dict(config)
     for key in ("family", "max_items", "m_rule"):
         if manifest["config"].get(key) != flags[key]:
             raise _UsageError(f"{path} was calibrated with {key}={manifest['config'].get(key)!r}"
                               f", but the flags give {key}={flags[key]!r}")
-    return manifest["lambda_hat"]
+    return lam
 
 
 def _cmd_predict(args) -> int:
@@ -213,21 +216,21 @@ def _cmd_predict(args) -> int:
         raise _UsageError(f"lambda must be in [0, 1], got {lam}")
 
     rows = []
-    if args.rankings:
-        for q in load_dataset(args.scores, args.rankings, args.embeddings):
-            pred = predict(q, lam, config)
-            loss = fdp(pred, q.ranking, derive_m(q.k, config.m_rule))
-            rows.append((q.query_id, pred, repr(loss)))
-    else:
-        # No labels, so no FDP: predict on the bare scores, joined by id as in assemble_queries.
-        emb = read_embeddings(args.embeddings) if args.embeddings else None
-        for qid, scores, embeddings in _join_by_id(scores=read_scores(args.scores),
-                                                   embeddings=emb):
-            try:
-                pred = predict(scores, lam, config, embeddings=embeddings)
-            except ValueError as exc:
-                raise SchemaError(f"query {qid!r}: {exc}") from None
-            rows.append((qid, pred, None))
+    for qid, scores, ranking, embeddings in _join_by_id(
+        scores=read_scores(args.scores),
+        rankings=read_rankings(args.rankings) if args.rankings else None,
+        embeddings=read_embeddings(args.embeddings) if args.embeddings else None,
+    ):
+        try:
+            if ranking is not None and ranking.k != scores.k:
+                raise ValueError(f"ranking has {ranking.k} items, scores have {scores.k}")
+            pred = predict(scores, lam, config, embeddings=embeddings)
+        except ValueError as exc:
+            raise SchemaError(f"query {qid!r}: {exc}") from None
+        loss = None
+        if ranking is not None:
+            loss = repr(fdp(pred, ranking, derive_m(scores.k, config.m_rule)))
+        rows.append((qid, pred, loss))
 
     if args.out:
         out_dir = _out_dir(args)

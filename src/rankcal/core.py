@@ -27,8 +27,10 @@ class PairwiseScores:
     """K x K matrix of model preference probabilities.
 
     ``probs[i, j]`` estimates the probability that item ``i+1`` outranks item
-    ``j+1``. Off-diagonal entries must lie in [0, 1]; the diagonal is ignored
-    by every consumer. Opposing entries are NOT assumed to sum to one.
+    ``j+1``. Off-diagonal entries must lie in [0, 1]. The diagonal carries
+    nothing: it is stored (and written) as 0 whatever the input holds, so two
+    matrices that differ only there compare equal. Opposing entries are NOT
+    assumed to sum to one.
     """
 
     probs: np.ndarray
@@ -39,11 +41,10 @@ class PairwiseScores:
             raise ValueError(f"pairwise matrix must be square 2-D, got shape {probs.shape}")
         if probs.shape[0] < 1:
             raise ValueError("pairwise matrix needs at least one item")
-        off = ~np.eye(probs.shape[0], dtype=bool)
-        vals = probs[off]
-        if not np.all(np.isfinite(vals)) or vals.size and (vals.min() < 0.0 or vals.max() > 1.0):
-            bad = np.argwhere(off & ~((probs >= 0.0) & (probs <= 1.0)))
-            i, j = bad[0]
+        np.fill_diagonal(probs, 0.0)
+        inside = (probs >= 0.0) & (probs <= 1.0)
+        if not inside.all():
+            i, j = np.argwhere(~inside)[0]
             raise ValueError(
                 f"off-diagonal entry probs[{i}][{j}]={probs[i, j]!r} "
                 f"(row {i + 1}, column {j + 1}) outside [0, 1]"
@@ -191,17 +192,13 @@ def item_scores(scores: PairwiseScores) -> np.ndarray:
 
     ``result[i] = mean_{j != i} probs[i, j]``, the expected fraction of other
     items that item ``i+1`` beats according to the model. A single-item query
-    degenerates to ``[1.0]`` so its only item is always eligible. Diagonal
-    entries never contribute.
+    degenerates to ``[1.0]`` so its only item is always eligible. The stored
+    diagonal is 0, so it adds nothing to the sum.
     """
     k = scores.k
     if k == 1:
         return np.array([1.0])
-    # Zero the diagonal before summing so its entries never enter the
-    # arithmetic at all; subtracting afterwards would leak one rounding ulp.
-    p = scores.probs.copy()
-    np.fill_diagonal(p, 0.0)
-    return p.sum(axis=1) / (k - 1)
+    return scores.probs.sum(axis=1) / (k - 1)
 
 
 def threshold_set(s: np.ndarray, lam: float) -> PredictionSet:

@@ -5,7 +5,8 @@ and fast enough at desk scale. Three dataset formats share a headered block
 layout (one block per query):
 
 * scores:      ``query <id> k <K>`` then K rows of K floats in [0, 1]
-               (diagonal entries written as 0, ignored on read)
+               (the diagonal is stored and written as 0 whatever the
+               file holds there)
 * rankings:    ``query <id> k <K>`` then one row of K integers forming a
                permutation of 1..K
 * embeddings:  ``query <id> k <K> d <d>`` then K rows of d floats
@@ -201,7 +202,6 @@ def pairwise_from_utilities(utilities, temperature: float = 1.0) -> PairwiseScor
     # exp(-z) overflows to inf only where the probability is 0.
     with np.errstate(over="ignore"):
         probs = 1.0 / (1.0 + np.exp(-z))
-    np.fill_diagonal(probs, 0.0)
     return PairwiseScores(probs)
 
 
@@ -351,8 +351,7 @@ def read_scores(source) -> list[tuple[str, PairwiseScores]]:
 
 
 def write_scores(target, pairs: Iterable[tuple[str, PairwiseScores]]) -> None:
-    _write_blocks(target, ("k", "k"), (
-        (qid, np.where(np.eye(s.k, dtype=bool), 0.0, s.probs)) for qid, s in pairs))
+    _write_blocks(target, ("k", "k"), ((qid, s.probs) for qid, s in pairs))
 
 
 def read_rankings(source) -> list[tuple[str, Ranking]]:

@@ -252,16 +252,13 @@ def _nearest_rank_quantile(sorted_values: np.ndarray, p: float) -> float:
 def _stratify(sizes: np.ndarray, losses: np.ndarray) -> list[Stratum]:
     order = np.sort(sizes)
     edges = [_nearest_rank_quantile(order, j / 4) for j in range(5)]
+    # The first bin whose upper edge a size does not exceed: the first bin is
+    # closed, later ones left-open, and the lowest index wins on tied edges.
+    bins = np.searchsorted(edges[1:], sizes, side="left")
     strata = []
-    assigned = np.full(sizes.shape, -1, dtype=int)
     for j in range(4):
         lo, hi = edges[j], edges[j + 1]
-        if j == 0:
-            member = (sizes >= lo) & (sizes <= hi)
-        else:
-            member = (sizes > lo) & (sizes <= hi)
-        member &= assigned < 0  # lowest-index bin wins under degenerate edges
-        assigned[member] = j
+        member = bins == j
         count = int(member.sum())
         strata.append(
             Stratum(

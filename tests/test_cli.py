@@ -270,6 +270,19 @@ class TestPredictCommand:
         assert main(args) == 3
         assert "'q1'" in capsys.readouterr().err
 
+    def test_ranking_k_mismatch_exits_3(self, tmp_path, capsys):
+        scores = tmp_path / "s.txt"
+        scores.write_text("query q1 k 2\n0 0.6\n0.4 0\nquery q2 k 2\n0 0.3\n0.7 0\n")
+        ranks = tmp_path / "r.txt"
+        ranks.write_text("query q1 k 2\n1 2\nquery q2 k 3\n2 1 3\n")
+        out = tmp_path / "out"
+        assert main(["predict", "--scores", str(scores), "--rankings", str(ranks),
+                     "--lambda", "0.3", "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "query 'q2': ranking has 3 items, scores have 2" in captured.err
+        assert not (out / "predictions.csv").exists()
+
     @pytest.mark.parametrize("file,labeled", [
         ("scores", True), ("rankings", True), ("embeddings", True),
         ("scores", False), ("embeddings", False),
@@ -358,6 +371,9 @@ class TestPredictCommand:
         '{"lambda_hat": 0.5}',
         '{"lambda_hat": "0.5", "config": {}}',
         "not json",
+        '{"lambda_hat": true, "config": {}}',
+        '{"lambda_hat": 1.7, "config": {}}',
+        '{"lambda_hat": NaN, "config": {}}',
     ])
     def test_malformed_manifest_exits_3(self, dataset_paths, tmp_path, capsys, content):
         paths, _ = dataset_paths

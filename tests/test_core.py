@@ -10,6 +10,7 @@ from rankcal import (
     item_scores,
     threshold_set,
 )
+from rankcal.data import write_scores
 
 
 def brute_force_item_scores(probs):
@@ -37,8 +38,14 @@ class TestPairwiseScores:
         with pytest.raises(ValueError, match=r"probs\[0\]\[1\]"):
             PairwiseScores(probs)
 
-    def test_diagonal_unconstrained(self):
-        PairwiseScores(np.array([[7.5, 0.2], [0.9, -3.0]]))
+    def test_diagonal_unconstrained(self, tmp_path):
+        given = PairwiseScores(np.array([[7.5, 0.2, 0.4], [0.9, -3.0, 0.1], [0.6, 0.3, np.nan]]))
+        twin = PairwiseScores(np.array([[0.0, 0.2, 0.4], [0.9, 0.0, 0.1], [0.6, 0.3, 0.0]]))
+        assert np.diagonal(given.probs).tolist() == [0.0, 0.0, 0.0]
+        assert given == twin
+        for name, scores in (("given", given), ("twin", twin)):
+            write_scores(tmp_path / name, [("q", scores)])
+        assert (tmp_path / "given").read_bytes() == (tmp_path / "twin").read_bytes()
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
